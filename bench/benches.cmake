@@ -31,13 +31,16 @@ ugcop_add_bench(ablation_misdp_modes)
 
 # Smoke-run the simplex benches under ctest (-L bench-smoke) and record the
 # machine-readable numbers; BENCH_lp.json is where the warm-vs-dense
-# reoptimization speedup is tracked.
+# reoptimization speedup is tracked. RUN_SERIAL: its BM_SimplexWarm wall
+# times feed the 15% bench-lp-regression guard below, so they must not share
+# the CPU with concurrently scheduled tests.
 add_test(NAME bench-smoke
          COMMAND micro_kernels
                  --benchmark_filter=BM_Simplex.*
                  --benchmark_out=${CMAKE_BINARY_DIR}/BENCH_lp.json
                  --benchmark_out_format=json)
-set_tests_properties(bench-smoke PROPERTIES LABELS bench-smoke)
+set_tests_properties(bench-smoke PROPERTIES LABELS bench-smoke
+                     RUN_SERIAL TRUE)
 
 # Warm-resolve regression guard: diff the BENCH_lp.json bench-smoke just
 # produced against the committed baseline and fail on a >15% geometric-mean
@@ -93,15 +96,17 @@ set_tests_properties(bench-smoke-cutshare PROPERTIES
 # Reduced-cost-fixing smoke: archives the on/off comparison of the generic
 # LP reduced-cost fixing + incremental reduction engine (B&B nodes, summed
 # LP iterations, optimum, fixing counters) in BENCH_redfix.json. The
-# sequential solver is deterministic, so the counters are exact.
+# sequential solver is deterministic, so the counters are exact. Only the
+# dim-4 rows run here; the dim-5 rows (BM_RedcostFix/5/) stay runnable by
+# hand with --benchmark_filter=BM_RedcostFix/5/.
 add_test(NAME bench-smoke-redfix
          COMMAND micro_kernels
-                 --benchmark_filter=BM_RedcostFix.*
+                 --benchmark_filter=BM_RedcostFix/4/
                  --benchmark_out=${CMAKE_BINARY_DIR}/BENCH_redfix.json
                  --benchmark_out_format=json)
-# RUN_SERIAL: two full dim-5 branch-and-cut runs are heavy enough to skew
-# the timing-gated bench-lp-regression guard when scheduled concurrently;
-# the counters this bench archives are deterministic, so serializing costs
+# RUN_SERIAL: full branch-and-cut runs are heavy enough to skew the
+# timing-gated bench-lp-regression guard when scheduled concurrently; the
+# counters this bench archives are deterministic, so serializing costs
 # nothing but scheduling.
 set_tests_properties(bench-smoke-redfix PROPERTIES
                      LABELS "bench-smoke;bench-smoke-redfix"

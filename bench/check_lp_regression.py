@@ -7,9 +7,9 @@ mean of the per-entry real_time ratios (fresh / baseline) over the
 BM_SimplexWarm/<n> family exceeds the allowed slowdown.
 
 Only BM_SimplexWarm/ entries participate: they are the warm-reoptimization
-path the LP kernel work optimizes for. The PFI and dense variants are
-informational (kept for comparison runs) and machine noise on them should
-not gate a commit. The 15% budget is deliberately loose for the same
+path the LP kernel work optimizes for. The dense variant is informational
+(kept for comparison runs) and machine noise on it should not gate a
+commit. The 15% budget is deliberately loose for the same
 reason — single-entry noise on a busy machine routinely exceeds 10%, but a
 geomean drift past 15% across all three sizes has so far always been a real
 regression.
@@ -37,7 +37,7 @@ def warm_times(path, family):
     times = {}
     for b in data.get("benchmarks", []):
         name = b.get("name", "")
-        # Exact family only: BM_SimplexWarmPfi/... etc. must not match.
+        # Exact family only: BM_SimplexWarmDense/... etc. must not match.
         if not name.startswith(family):
             continue
         if b.get("run_type", "iteration") != "iteration":

@@ -116,15 +116,13 @@ void simplexWarmLoop(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 
-/// Sparse-engine variant with a selectable factorization kernel. Emits the
-/// kernel-health counters bench-smoke archives in BENCH_lp.json: simplex
-/// iterations and (re)factorizations per resolve, and the current L+U (or
-/// eta-file) fill at exit.
-void simplexWarmLoopSparse(benchmark::State& state, lp::Factorization kind) {
+/// Sparse-engine warm-resolve loop. Emits the kernel-health counters
+/// bench-smoke archives in BENCH_lp.json: simplex iterations and
+/// (re)factorizations per resolve, and the current L+U fill at exit.
+void BM_SimplexWarm(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));
     lp::LpModel m = steinerCutLp(n, n, 11);
     lp::SimplexSolver s;
-    s.setFactorization(kind);
     s.load(m);
     if (s.solve() != lp::SolveStatus::Optimal) {
         state.SkipWithError("baseline solve not optimal");
@@ -166,15 +164,7 @@ void simplexWarmLoopSparse(benchmark::State& state, lp::Factorization kind) {
 // hundreds to thousands of edge columns). The dense engine pays O(m^2) per
 // pivot, so the sparse advantage grows with size; the LU kernel's bounded
 // fill growth is what makes the small end (150) win too.
-void BM_SimplexWarm(benchmark::State& state) {
-    simplexWarmLoopSparse(state, lp::Factorization::LU);
-}
 BENCHMARK(BM_SimplexWarm)->Arg(150)->Arg(300)->Arg(600);
-
-void BM_SimplexWarmPfi(benchmark::State& state) {
-    simplexWarmLoopSparse(state, lp::Factorization::PFI);
-}
-BENCHMARK(BM_SimplexWarmPfi)->Arg(150)->Arg(300)->Arg(600);
 
 void BM_SimplexWarmDense(benchmark::State& state) {
     simplexWarmLoop<lp::DenseSimplexSolver>(state);
@@ -460,11 +450,10 @@ BENCHMARK(BM_CutShareRampup)
     ->Args({5, 1})
     ->Iterations(1);
 
-/// Generic LP reduced-cost fixing + incremental reduction engine vs the
-/// seed per-node behavior: a full sequential branch-and-cut run on a raw
-/// (unreduced) hypercube SAP model with the new machinery on (arg 2 = 1,
-/// the defaults) or off (arg 2 = 0: reduced-cost fixing disabled, legacy
-/// rebuild-everything propagation, post-fixing LP re-solve restored).
+/// Generic LP reduced-cost fixing + incremental reduction engine on vs off:
+/// a full sequential branch-and-cut run on a raw (unreduced) hypercube SAP
+/// model with the machinery on (arg 2 = 1, the defaults) or off (arg 2 = 0:
+/// reduced-cost fixing disabled, reduction propagation off).
 /// Headline counters are the B&B node count and summed LP iterations — the
 /// quantities the fixing exists to shrink — next to the optimum (must be
 /// identical in both modes) and the fixing/engine counters. The sequential
@@ -486,9 +475,7 @@ void BM_RedcostFix(benchmark::State& state) {
         solver.setModel(inst.model);
         if (!fixOn) {
             solver.params().setBool("propagating/redcostfix", false);
-            solver.params().setBool("propagating/redcostresolve", true);
-            solver.params().setBool("stp/redprop/incremental", false);
-            solver.params().setBool("stp/redprop/lpfix", false);
+            solver.params().setInt("stp/redprop/freq", 0);
         }
         steiner::installStpPlugins(solver, inst);
         solver.solve();

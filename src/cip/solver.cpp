@@ -218,20 +218,12 @@ void Solver::buildLp() {
     for (PoolCut& pc : cutPool_) pc.lpIndex = lpm.addRow(pc.row);
     for (ManagedRow& mr : managedRows_)
         mr.lpIndex = lpm.addRow(mr.row);
-    // Basis factorization kernel: sparse LU with Forrest–Tomlin updates by
-    // default; "pfi" selects the product-form eta file (kept for comparison
-    // runs and as a numerical fallback).
-    lp_.setFactorization(
-        params_.getString("lp/factorization", "lu") == "pfi"
-            ? lp::Factorization::PFI
-            : lp::Factorization::LU);
     // Dual pricing rule: "auto" (default) uses exact dual steepest-edge for
     // bound-changed resolves and devex for cold solves (see solveLp);
     // "devex"/"dse" pin the rule for comparison runs.
     const std::string pricing = params_.getString("lp/pricing", "auto");
     lpPricingAuto_ = (pricing == "auto");
     lp_.setPricing(pricing == "dse" ? lp::Pricing::DSE : lp::Pricing::Devex);
-    lp_.setHyperSparse(params_.getBool("lp/hypersparse", true));
     lp_.load(lpm);
     lpLb_ = curLb_;
     lpUb_ = curUb_;
@@ -550,20 +542,13 @@ ReduceResult Solver::reducedCostFixing() {
     if (cutoff_ >= kInf || !lpSolutionValid_) return ReduceResult::Unchanged;
     if (!params_.getBool("propagating/redcostfix", true))
         return ReduceResult::Unchanged;
-    // Frequency gate: run at nodes with depth % freq == 0 (freq<=0: root
-    // only), matching the convention of the other frequency parameters.
-    const int freq = params_.getInt("propagating/redcostfreq", 1);
-    const int depth = processing_ ? processing_->depth : 0;
-    if (freq <= 0 ? depth != 0 : depth % freq != 0)
-        return ReduceResult::Unchanged;
     const double gapAbs = cutoff_ - cutoffSlack() - lpObj_;
     if (gapAbs <= 0) return ReduceResult::Unchanged;
     ++stats_.redcostCalls;
     // Cutoff-derived tightenings stay valid in the whole subtree (the
-    // incumbent only improves below this node), so children may inherit
-    // them through the subproblem description instead of rediscovering
-    // them from scratch at every descendant.
-    const bool inherit = params_.getBool("propagating/redcostinherit", true);
+    // incumbent only improves below this node), so children inherit them
+    // through the subproblem description (recordInheritedBound) instead of
+    // rediscovering them from scratch at every descendant.
     bool reduced = false;
     const auto& rc = lp_.reducedCosts();
     const auto& x = lp_.primal();
@@ -588,7 +573,7 @@ ReduceResult Solver::reducedCostFixing() {
             reduced = true;
             ++stats_.redcostTightenings;
             if (curUb_[j] - curLb_[j] < kBoundTol) ++stats_.redcostFixings;
-            if (inherit) recordInheritedBound(j);
+            recordInheritedBound(j);
         }
     }
     return reduced ? ReduceResult::Reduced : ReduceResult::Unchanged;
@@ -1184,17 +1169,11 @@ std::int64_t Solver::step() {
             // Reduced-cost fixing. Every bound it tightens stops at or
             // beyond the variable's current (nonbasic) LP value, so the LP
             // optimum stays feasible and no re-solve is needed — the new
-            // bounds reach the LP with the next syncLpBounds(). The
-            // "propagating/redcostresolve" escape hatch restores the old
-            // resolve-after-fixing behavior bit-for-bit.
-            const ReduceResult rcf = reducedCostFixing();
-            if (rcf == ReduceResult::Infeasible) {
+            // bounds reach the LP with the next syncLpBounds().
+            if (reducedCostFixing() == ReduceResult::Infeasible) {
                 pruned = true;
                 break;
             }
-            if (rcf == ReduceResult::Reduced &&
-                params_.getBool("propagating/redcostresolve", false))
-                continue;
 
             // LP-aware plugin propagation (same contract: reductions must
             // keep the current LP optimum feasible, see Propagator docs).

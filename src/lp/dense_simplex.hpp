@@ -1,4 +1,4 @@
-// Dense-basis reference simplex (the pre-eta-file engine, kept verbatim).
+// Dense-basis reference simplex (the original engine, kept verbatim).
 //
 // This is the original bounded-variable revised simplex with an explicit
 // dense B^{-1}, O(m^2)-per-iteration updates and full Dantzig pricing. It is

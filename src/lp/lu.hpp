@@ -1,7 +1,6 @@
 // Sparse LU factorization of the simplex basis with Forrest–Tomlin updates.
 //
-// This is the successor of the product-form-inverse eta file (lp/eta.hpp):
-// instead of representing B^{-1} as a growing product of elementary etas —
+// Instead of representing B^{-1} as a growing product of elementary etas —
 // whose update etas densify between refactorizations — the basis is held as
 //
 //     B = L * U            (modulo row and pivot-order permutations)
@@ -26,7 +25,7 @@
 // its `basic_` array with `rowOfSlot` so that slot == pivot row. From then
 // on `ftran` maps a right-hand side b (indexed by row) to the solution x
 // with x[r] = coefficient of the variable basic in row r, and `btran` maps
-// basic costs (indexed by row) to row duals — exactly the EtaFile contract.
+// basic costs (indexed by row) to row duals.
 #pragma once
 
 #include <cstddef>

@@ -14,8 +14,7 @@ constexpr double kPivotTol = 1e-9;   // minimum admissible pivot magnitude
 constexpr double kResidTol = 1e-8;   // drift backstop on ||A x||
 // Fill-ratio refactorization policy: refactorize once the factor holds more
 // than this multiple of (fresh fill + m) nonzeros. Dense-ish updates hit
-// the limit quickly; sparse ones are allowed to chain much longer than the
-// old fixed 64-eta budget.
+// the limit quickly; sparse ones are allowed to chain much longer.
 constexpr double kRefactorFillGrowth = 2.0;
 constexpr double kDevexReset = 1e12;  // weight overflow -> reference reset
 }  // namespace
@@ -27,14 +26,6 @@ const char* toString(SolveStatus s) {
         case SolveStatus::Unbounded: return "unbounded";
         case SolveStatus::IterLimit: return "iterlimit";
         case SolveStatus::NumericalTrouble: return "numerical";
-    }
-    return "?";
-}
-
-const char* toString(Factorization f) {
-    switch (f) {
-        case Factorization::PFI: return "pfi";
-        case Factorization::LU: return "lu";
     }
     return "?";
 }
@@ -139,12 +130,7 @@ void SimplexSolver::setupSlackBasis() {
     }
     basic_.resize(m_);
     // B = -I for the all-slack basis: one trivial pivot per row.
-    if (factKind_ == Factorization::PFI) {
-        eta_.clear(m_);
-        for (int i = 0; i < m_; ++i) eta_.appendUnit(i, -1.0);
-    } else {
-        lu_.loadSlack(m_, -1.0);
-    }
+    lu_.loadSlack(m_, -1.0);
     for (int i = 0; i < m_; ++i) {
         basic_[i] = n_ + i;
         vstat_[n_ + i] = VStat::Basic;
@@ -169,20 +155,6 @@ void SimplexSolver::resetFactorPolicy() {
     factorStale_ = false;
 }
 
-void SimplexSolver::factFtran(std::vector<double>& x) const {
-    if (factKind_ == Factorization::PFI)
-        eta_.ftran(x);
-    else
-        lu_.ftran(x);
-}
-
-void SimplexSolver::factBtran(std::vector<double>& y) const {
-    if (factKind_ == Factorization::PFI)
-        eta_.btran(y);
-    else
-        lu_.btran(y);
-}
-
 void SimplexSolver::ensureSparseWork() {
     if (wVec_.dim() != m_) wVec_.reset(m_);
     if (rhoVec_.dim() != m_) rhoVec_.reset(m_);
@@ -195,30 +167,15 @@ void SimplexSolver::ensureSparseWork() {
 }
 
 void SimplexSolver::factFtranSparse(SparseVec& x, LuRhs cls) {
-    const bool sparse = factKind_ == Factorization::PFI
-                            ? eta_.ftranSparseVec(x)
-                            : lu_.ftranSparse(x, cls);
-    countSolve(sparse, x);
+    countSolve(lu_.ftranSparse(x, cls), x);
 }
 
 void SimplexSolver::factBtranSparse(SparseVec& y, LuRhs cls) {
-    const bool sparse = factKind_ == Factorization::PFI
-                            ? eta_.btranSparseVec(y)
-                            : lu_.btranSparse(y, cls);
-    countSolve(sparse, y);
+    countSolve(lu_.btranSparse(y, cls), y);
 }
 
-void SimplexSolver::factUpdate(int leaveRow, const SparseVec& w) {
-    if (factKind_ == Factorization::PFI) {
-        // The update eta maps w = B^{-1} a_enter to e_leaveRow; w is exactly
-        // zero outside its support, which is the pattern overload's
-        // contract. A dense-mode w has no support list — scan all rows.
-        if (w.dense)
-            eta_.append(leaveRow, w.val);
-        else
-            eta_.append(leaveRow, w.val, w.idx);
-        ++updatesSince_;
-    } else if (lu_.update(leaveRow)) {
+void SimplexSolver::factUpdate(int leaveRow) {
+    if (lu_.update(leaveRow)) {
         ++updatesSince_;
     } else {
         // Unusable Forrest–Tomlin pivot: the factor is invalid, but basic_
@@ -240,7 +197,7 @@ void SimplexSolver::computeBasicSolution() {
         for (int p = cscPtr_[j]; p < cscPtr_[j + 1]; ++p)
             rhs[cscRow_[p]] += cscVal_[p] * v;
     }
-    factFtran(rhs);
+    lu_.ftran(rhs);
     xb_.assign(m_, 0.0);
     for (int i = 0; i < m_; ++i) xb_[i] = -rhs[i];
 }
@@ -248,108 +205,51 @@ void SimplexSolver::computeBasicSolution() {
 bool SimplexSolver::refactorize() {
     ensureCsc();
     ++numFactor_;
-    if (factKind_ == Factorization::LU) {
-        auto snapped = [&](int j) {
-            if (lb_[j] > -kInf) return VStat::AtLower;
-            if (ub_[j] < kInf) return VStat::AtUpper;
-            return VStat::FreeZero;
-        };
-        std::vector<int> rowOfSlot;
-        bool ok = lu_.factorize(basic_, cscPtr_, cscRow_, cscVal_, rowOfSlot);
-        if (!ok) {
-            // Singular-basis repair: every slot the factorization could not
-            // pivot gets the slack of a row no pivot claimed (the extended
-            // basis is nonsingular because each slack has a lone -1 in its
-            // own row). Demoted variables go to a finite bound.
-            std::vector<char> used(m_, 0);
-            for (int s = 0; s < m_; ++s)
-                if (rowOfSlot[s] >= 0) used[rowOfSlot[s]] = 1;
-            std::vector<int> freeRows;
-            for (int r = 0; r < m_; ++r)
-                if (!used[r] && vstat_[n_ + r] != VStat::Basic)
-                    freeRows.push_back(r);
-            std::size_t fi = 0;
-            bool repaired = true;
-            for (int s = 0; s < m_; ++s) {
-                if (rowOfSlot[s] >= 0) continue;
-                if (fi >= freeRows.size()) {
-                    repaired = false;
-                    break;
-                }
-                const int r = freeRows[fi++];
-                const int old = basic_[s];
-                vstat_[old] = snapped(old);
-                basic_[s] = n_ + r;
-                vstat_[n_ + r] = VStat::Basic;
+    auto snapped = [&](int j) {
+        if (lb_[j] > -kInf) return VStat::AtLower;
+        if (ub_[j] < kInf) return VStat::AtUpper;
+        return VStat::FreeZero;
+    };
+    std::vector<int> rowOfSlot;
+    bool ok = lu_.factorize(basic_, cscPtr_, cscRow_, cscVal_, rowOfSlot);
+    if (!ok) {
+        // Singular-basis repair: every slot the factorization could not
+        // pivot gets the slack of a row no pivot claimed (the extended
+        // basis is nonsingular because each slack has a lone -1 in its
+        // own row). Demoted variables go to a finite bound.
+        std::vector<char> used(m_, 0);
+        for (int s = 0; s < m_; ++s)
+            if (rowOfSlot[s] >= 0) used[rowOfSlot[s]] = 1;
+        std::vector<int> freeRows;
+        for (int r = 0; r < m_; ++r)
+            if (!used[r] && vstat_[n_ + r] != VStat::Basic)
+                freeRows.push_back(r);
+        std::size_t fi = 0;
+        bool repaired = true;
+        for (int s = 0; s < m_; ++s) {
+            if (rowOfSlot[s] >= 0) continue;
+            if (fi >= freeRows.size()) {
+                repaired = false;
+                break;
             }
-            if (repaired)
-                ok = lu_.factorize(basic_, cscPtr_, cscRow_, cscVal_,
-                                   rowOfSlot);
-            if (!ok) return false;
+            const int r = freeRows[fi++];
+            const int old = basic_[s];
+            vstat_[old] = snapped(old);
+            basic_[s] = n_ + r;
+            vstat_[n_ + r] = VStat::Basic;
         }
-        std::vector<int> newBasic(m_);
-        for (int s = 0; s < m_; ++s) newBasic[rowOfSlot[s]] = basic_[s];
-        basic_ = std::move(newBasic);
-        // DSE weights are attached to the basic variable of a slot, not to
-        // the matrix row, so they move with the permutation just applied to
-        // basic_. Leaving them in the old order silently feeds scrambled
-        // norms to the exact Forrest–Goldfarb recurrence after every
-        // refactorization.
-        permuteDseGamma(rowOfSlot);
-        resetFactorPolicy();
-        return true;
+        if (repaired)
+            ok = lu_.factorize(basic_, cscPtr_, cscRow_, cscVal_, rowOfSlot);
+        if (!ok) return false;
     }
-
-    // PFI: rebuild the eta file with one Gaussian pivot per basic column.
-    // Columns are processed sparsest-first (a cheap Markowitz surrogate);
-    // each step FTRANs the column through the etas built so far — tracking
-    // the touched pattern so the work and the appended eta are O(fill), not
-    // O(m) — and pivots on the largest entry among still-unassigned rows.
-    // The pivot row becomes the column's basis position, so basic_ is
-    // re-permuted here.
-    std::vector<int> order(m_);
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-        return cols_[basic_[a]].entries.size() < cols_[basic_[b]].entries.size();
-    });
-    eta_.clear(m_);
-    std::vector<int> rowOfSlot(m_, -1);
-    std::vector<int> newBasic(m_, -1);
-    std::vector<char> rowUsed(m_, 0);
-    std::vector<double> w(m_, 0.0);
-    std::vector<int> pattern;
-    std::vector<char> mark(m_, 0);
-    for (int k : order) {
-        const int j = basic_[k];
-        pattern.clear();
-        for (int p = cscPtr_[j]; p < cscPtr_[j + 1]; ++p) {
-            w[cscRow_[p]] = cscVal_[p];
-            mark[cscRow_[p]] = 1;
-            pattern.push_back(cscRow_[p]);
-        }
-        eta_.ftranSparse(w, pattern, mark);
-        int r = -1;
-        double best = 0.0;
-        for (int i : pattern) {
-            if (rowUsed[i]) continue;
-            const double a = std::fabs(w[i]);
-            if (a > best) {
-                best = a;
-                r = i;
-            }
-        }
-        if (r < 0 || best < 1e-11) return false;  // singular basis
-        eta_.append(r, w, pattern);
-        newBasic[r] = j;
-        rowOfSlot[k] = r;
-        rowUsed[r] = 1;
-        for (int i : pattern) {
-            w[i] = 0.0;
-            mark[i] = 0;
-        }
-    }
+    std::vector<int> newBasic(m_);
+    for (int s = 0; s < m_; ++s) newBasic[rowOfSlot[s]] = basic_[s];
     basic_ = std::move(newBasic);
-    permuteDseGamma(rowOfSlot);  // weights follow their slot, see LU branch
+    // DSE weights are attached to the basic variable of a slot, not to the
+    // matrix row, so they move with the permutation just applied to basic_.
+    // Leaving them in the old order silently feeds scrambled norms to the
+    // exact Forrest–Goldfarb recurrence after every refactorization.
+    permuteDseGamma(rowOfSlot);
     resetFactorPolicy();
     return true;
 }
@@ -364,7 +264,7 @@ void SimplexSolver::permuteDseGamma(const std::vector<int>& rowOfSlot) {
 
 double SimplexSolver::solutionResidual() const {
     // ||A x - s|| over the full [structural | slack] system: exact zero for
-    // a perfectly computed basic solution, grows with eta-file drift.
+    // a perfectly computed basic solution, grows with factor drift.
     std::vector<double> r(m_, 0.0);
     const int tot = n_ + m_;
     double scale = 1.0;
@@ -387,7 +287,7 @@ double SimplexSolver::solutionResidual() const {
 void SimplexSolver::priceDuals(const std::vector<double>& cb,
                                std::vector<double>& y) const {
     y = cb;
-    factBtran(y);
+    lu_.btran(y);
 }
 
 double SimplexSolver::columnDot(int j, const std::vector<double>& y) const {
@@ -401,14 +301,8 @@ void SimplexSolver::ftranColumn(int j, SparseVec& w) {
     w.clear();
     for (int p = cscPtr_[j]; p < cscPtr_[j + 1]; ++p)
         w.set(cscRow_[p], cscVal_[p]);
-    if (factKind_ == Factorization::PFI) {
-        w.markDense();
-        eta_.ftran(w.val);
-        countSolve(false, w);
-    } else {
-        // Caches the FT spike for the coming pivot.
-        countSolve(lu_.ftranSpikeSparse(w), w);
-    }
+    // Caches the FT spike for the coming pivot.
+    countSolve(lu_.ftranSpikeSparse(w), w);
 }
 
 void SimplexSolver::pivot(int enter, int leaveRow, const SparseVec& w,
@@ -420,7 +314,7 @@ void SimplexSolver::pivot(int enter, int leaveRow, const SparseVec& w,
     // drift.
     const double dz = enterValue - nonbasicValue(enter);
     forSupport(w, [&](int i) { xb_[i] -= w.val[i] * dz; });
-    factUpdate(leaveRow, w);
+    factUpdate(leaveRow);
     basic_[leaveRow] = enter;
     vstat_[enter] = VStat::Basic;
     vstat_[leaveVar] = leaveTo;
@@ -616,8 +510,8 @@ SolveStatus SimplexSolver::primalSimplex(bool phase1Allowed) {
         // basic values change by -sigma * w * t. Pass 1 finds the tightest
         // ratio; pass 2 picks, among rows blocking within a small tolerance
         // of it, the largest |pivot| (lowest basic index in Bland mode).
-        // Preferring big pivots on degenerate ties is what keeps the eta
-        // file well conditioned: always taking the first ~0-step row can
+        // Preferring big pivots on degenerate ties is what keeps the factor
+        // updates well conditioned: always taking the first ~0-step row can
         // chain 1e-9-sized pivots until B^{-1} (and the duals priced
         // through it) are pure noise.
         // Both passes walk only the FTRAN support: rows with w[i] == 0 have
@@ -861,7 +755,7 @@ SolveStatus SimplexSolver::dualSimplex() {
         const bool needIncrease = !leaveToUpper;  // below lb -> increase
 
         // Two-pass dual ratio test (same rationale as the primal one: on
-        // tied ratios take the largest |alpha| so the appended eta stays
+        // tied ratios take the largest |alpha| so the factor update stays
         // well conditioned).
         auto dualEligible = [&](int j, double alpha) {
             // dz_j = sig * t (t>0); xb_r changes by -alpha * sig * t.

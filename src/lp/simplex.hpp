@@ -15,10 +15,8 @@
 //   * the constraint matrix is kept both as a dynamic per-column build view
 //     (cheap row appends for cuts) and as a packed CSC copy used by every
 //     hot loop (pricing, FTRAN scatter, dual ratio test);
-//   * the basis is factorized either as a sparse Markowitz LU with
-//     Forrest–Tomlin updates (lp/lu.hpp, the default) or as a
-//     product-form-inverse eta file (lp/eta.hpp, kept selectable as the
-//     A/B baseline) — both provide sparse FTRAN/BTRAN instead of an
+//   * the basis is factorized as a sparse Markowitz LU with Forrest–Tomlin
+//     updates (lp/lu.hpp), which provides sparse FTRAN/BTRAN instead of an
 //     explicit dense B^{-1};
 //   * pricing scans a rotating candidate window (partial pricing) scored by
 //     devex reference weights, falling back to full Dantzig/Bland scans on
@@ -32,20 +30,11 @@
 #include <vector>
 
 #include "lp/basis.hpp"
-#include "lp/eta.hpp"
 #include "lp/lu.hpp"
 #include "lp/model.hpp"
 #include "lp/sparsevec.hpp"
 
 namespace lp {
-
-/// Basis factorization kernel selector (cip parameter `lp/factorization`).
-enum class Factorization {
-    PFI,  ///< product-form-inverse eta file (one eta per pivot)
-    LU,   ///< Markowitz LU with Forrest–Tomlin updates (default)
-};
-
-const char* toString(Factorization f);
 
 /// Dual leaving-row pricing rule (cip parameter `lp/pricing`).
 enum class Pricing {
@@ -121,20 +110,9 @@ public:
     int numRows() const { return m_; }
     int numCols() const { return n_; }
 
-    /// Select the basis factorization kernel. Switching kinds invalidates
-    /// any held basis (the next solve is cold); call before load()/solve().
-    void setFactorization(Factorization f) {
-        if (f == factKind_) return;
-        factKind_ = f;
-        basisValid_ = false;
-    }
-    Factorization factorization() const { return factKind_; }
-    /// Current factor fill (L+U nonzeros, or eta-file fill incl. pivots).
-    /// Drives the refactorization policy; exposed for benchmarks/tests.
-    long factorFill() const {
-        return factKind_ == Factorization::PFI ? eta_.fill() + eta_.size()
-                                               : lu_.fill();
-    }
+    /// Current factor fill (L+U nonzeros). Drives the refactorization
+    /// policy; exposed for benchmarks/tests.
+    long factorFill() const { return lu_.fill(); }
 
     /// Iteration limit per (re)solve; guards against cycling in pathological
     /// cases. Default is generous.
@@ -150,9 +128,9 @@ public:
     void setPricing(Pricing p) { pricing_ = p; }
     Pricing pricing() const { return pricing_; }
 
-    /// Enable/disable the hyper-sparse reach kernels (LU mode only; the
-    /// automatic density fallback still applies when enabled). Exposed for
-    /// the `lp/hypersparse` parameter and the on/off equivalence tests.
+    /// Enable/disable the hyper-sparse reach kernels (the automatic density
+    /// fallback still applies when enabled). On by default; exposed for the
+    /// dense-vs-reach equivalence tests.
     void setHyperSparse(bool on) {
         hyper_ = on;
         lu_.setHyperSparse(on);
@@ -196,15 +174,10 @@ private:
     std::vector<double> csrVal_;
     bool cscDirty_ = true;
 
-    // Basis factorization: exactly one of the two kernels is live at a
-    // time, selected by factKind_ and dispatched through fact*() helpers.
-    Factorization factKind_ = Factorization::LU;
-    EtaFile eta_;                   ///< product-form basis inverse (PFI mode)
-    LuFactor lu_;                   ///< Markowitz LU + FT updates (LU mode)
+    LuFactor lu_;                   ///< basis factor: Markowitz LU + FT updates
 
     // Fill-ratio refactorization policy, recomputed after every successful
-    // (re)factorization by resetFactorPolicy(). Replaces the fixed
-    // kMaxExtraEtas / kResidCheckInterval constants.
+    // (re)factorization by resetFactorPolicy().
     long baseFill_ = 0;      ///< factor fill right after refactorization
     long fillLimit_ = 0;     ///< refactor when factorFill() exceeds this
     int updateLimit_ = 0;    ///< ... or after this many updates
@@ -262,13 +235,9 @@ private:
         return factorStale_ || updatesSince_ >= updateLimit_ ||
                factorFill() > fillLimit_;
     }
-    // Kernel dispatch (PFI eta file vs LU).
-    void factFtran(std::vector<double>& x) const;
-    void factBtran(std::vector<double>& y) const;
-    /// Sparse dispatch with telemetry: solve through the reach kernels when
-    /// the factor offers them, fall back to dense + support rebuild. `cls`
-    /// selects the LU factor's per-RHS-class density controller (ignored by
-    /// the PFI path, which has no hysteresis state).
+    /// Sparse basis solves with telemetry: the reach kernels when the
+    /// factor offers them, dense + support rebuild otherwise. `cls` selects
+    /// the LU factor's per-RHS-class density controller.
     void factFtranSparse(SparseVec& x, LuRhs cls = LuRhs::Column);
     void factBtranSparse(SparseVec& y, LuRhs cls = LuRhs::Row);
     /// Size the sparse work vectors to the current row count.
@@ -297,7 +266,7 @@ private:
     }
     /// Absorb a simplex pivot into the factor. On LU update failure marks
     /// the factor stale — the pivot loop refactorizes before the next solve.
-    void factUpdate(int leaveRow, const SparseVec& w);
+    void factUpdate(int leaveRow);
     /// Max residual of A x over all rows for the current (incrementally
     /// updated) solution; large values mean the factor has drifted.
     double solutionResidual() const;
@@ -305,8 +274,8 @@ private:
                double t, VStat enterFrom);
     void priceDuals(const std::vector<double>& cb, std::vector<double>& y) const;
     double columnDot(int j, const std::vector<double>& y) const;
-    /// w = B^{-1} a_j for an entering column; in LU mode this also caches
-    /// the Forrest–Tomlin spike consumed by the subsequent factUpdate().
+    /// w = B^{-1} a_j for an entering column; this also caches the
+    /// Forrest–Tomlin spike consumed by the subsequent factUpdate().
     void ftranColumn(int j, SparseVec& w);
     /// Partial pricing: pick an entering variable (devex-scored candidate
     /// window; full lowest-index scan in Bland mode). Returns -1 if a full

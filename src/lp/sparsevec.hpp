@@ -11,7 +11,7 @@
 // value). flag[i] != 0 iff i is listed in idx, so membership tests during
 // reach computation are O(1) and clearing is O(|idx|), never O(m).
 //
-// idx is kept sorted ascending by every LuFactor/EtaFile solve entry point.
+// idx is kept sorted ascending by every LuFactor solve entry point.
 // That is not cosmetic: the simplex ratio tests and devex updates break
 // exact ties by iteration order, so producing the support in ascending
 // order is what keeps the hyper-sparse and dense solve paths bit-identical

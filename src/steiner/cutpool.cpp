@@ -31,9 +31,7 @@ CutPool::Verdict CutPool::offer(const std::vector<int>& support, int* id,
     sorted_.assign(support.begin(), support.end());
     std::sort(sorted_.begin(), sorted_.end());
     sorted_.erase(std::unique(sorted_.begin(), sorted_.end()), sorted_.end());
-    if (sorted_.empty() ||
-        (maxSupport_ > 0 &&
-         static_cast<int>(sorted_.size()) > maxSupport_)) {
+    if (sorted_.empty()) {
         ++stats_.untracked;
         return Verdict::Untracked;
     }

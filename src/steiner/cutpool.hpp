@@ -48,7 +48,7 @@ struct CutPoolStats {
     std::int64_t dupRejected = 0;        ///< exact duplicates rejected
     std::int64_t dominatedRejected = 0;  ///< supersets of a pooled cut rejected
     std::int64_t dominatedEvicted = 0;   ///< pooled cuts evicted by a subset cut
-    std::int64_t untracked = 0;          ///< support wider than maxSupport
+    std::int64_t untracked = 0;          ///< empty supports, not pooled
 };
 
 class CutPool {
@@ -57,16 +57,10 @@ public:
         Admitted,   ///< registered; id() assigned, dominated entries evicted
         Duplicate,  ///< identical support already pooled
         Dominated,  ///< a pooled cut's support is a subset — incoming is weaker
-        Untracked,  ///< support wider than maxSupport; usable but not pooled
+        Untracked,  ///< empty support; nothing to pool
     };
 
     explicit CutPool(int numVars) : index_(numVars > 0 ? numVars : 0) {}
-
-    /// Only cuts with at most `m` support entries are tracked (0 = no cap).
-    /// Wider cuts return Untracked: the caller may still add them to the LP,
-    /// the pool just refuses to spend index memory on rows that dominance
-    /// will almost never fire on.
-    void setMaxSupport(int m) { maxSupport_ = m; }
 
     /// Offer a cut's support (model variable ids, any order, duplicates
     /// tolerated). On Admitted, `*id` (if non-null) receives the pool id and
@@ -124,7 +118,6 @@ private:
     std::size_t shareCursor_ = 0;
     std::uint64_t admitClock_ = 0;
     std::size_t alive_ = 0;
-    int maxSupport_ = 0;
     CutPoolStats stats_;
 };
 

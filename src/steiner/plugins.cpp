@@ -217,7 +217,6 @@ CutSepaConfig StpConshdlr::sepaConfig(const cip::Solver& solver) const {
     cfg.warmStart = p.getBool("stp/sepa/warmstart", cfg.warmStart);
     cfg.maxCuts = p.getInt("stp/sepa/maxcuts", cfg.maxCuts);
     cfg.violationTol = p.getReal("stp/sepa/violationtol", cfg.violationTol);
-    cfg.maxNested = p.getInt("stp/sepa/maxnested", cfg.maxNested);
     return cfg;
 }
 
@@ -298,7 +297,6 @@ int StpConshdlr::separate(cip::Solver& solver, const std::vector<double>& x) {
     const CutSepaConfig cfg = sepaConfig(solver);
     const cip::ParamSet& params = solver.params();
     const bool dominance = params.getBool("stp/sepa/pooldominance", true);
-    pool_.setMaxSupport(params.getInt("separating/poolmaxsupport", 0));
     // Mirror the solver's pool first: cuts it aged out of the LP since the
     // last round must leave the dominance pool, or a later re-violation of
     // the same cut would be rejected as a "duplicate" of a row that no
@@ -579,26 +577,17 @@ StpReductionPropagator::StpReductionPropagator(const SapInstance& inst,
 
 cip::ReduceResult StpReductionPropagator::propagate(cip::Solver& solver) {
     const cip::Node* node = solver.currentNode();
-    if (!node || node->id == lastNode_)  // once per node
-        return cip::ReduceResult::Unchanged;
-    const bool extended = solver.params().getBool("stp/extended", true);
+    // "stp/redprop/freq" <= 0 turns the propagator off (propagateLp too).
     const int freq = solver.params().getInt("stp/redprop/freq", 4);
-    if (!solver.params().getBool("stp/redprop/incremental", true)) {
-        // Legacy path: rebuild the subgraph from scratch at selected depths.
-        if (freq <= 0 || node->depth == 0 || node->depth % freq != 0)
-            return cip::ReduceResult::Unchanged;
-        lastNode_ = node->id;
-        return reduceSubgraphAndFix(solver, inst_, extended);
-    }
-
-    // Incremental path: run at frequency-selected depths (including the
-    // root, which seeds the ascent cache) and whenever the primal bound
-    // improved since the last pass — a better incumbent re-arms the
-    // bound-based test at any depth.
+    if (!node || node->id == lastNode_ || freq <= 0)  // once per node
+        return cip::ReduceResult::Unchanged;
+    // Run at frequency-selected depths (including the root, which seeds the
+    // ascent cache) and whenever the primal bound improved since the last
+    // pass — a better incumbent re-arms the bound-based test at any depth.
     const double primal = solver.primalBound();
     const bool primalImproved = primal < lastPrimal_ - 1e-9;
-    const bool freqDue = freq > 0 && node->depth % freq == 0;
-    if (!freqDue && !primalImproved) return cip::ReduceResult::Unchanged;
+    if (node->depth % freq != 0 && !primalImproved)
+        return cip::ReduceResult::Unchanged;
     lastNode_ = node->id;
     lastPrimal_ = primal;
 
@@ -618,6 +607,7 @@ cip::ReduceResult StpReductionPropagator::propagate(cip::Solver& solver) {
         const double pc = solver.pruningCutoff();
         return pc < cip::kInf ? pc - offset : heur.cost;
     };
+    const bool extended = solver.params().getBool("stp/extended", true);
     ReduceEngine::RunResult res =
         engine_.run(solver.localUb(), st.flag, cutoffGraph, extended, sink);
     solver.addCost(res.cost);
@@ -627,8 +617,6 @@ cip::ReduceResult StpReductionPropagator::propagate(cip::Solver& solver) {
     bool reduced = false;
     bool infeasible = res.infeasible;
     if (res.ran && !infeasible) {
-        const bool inherit =
-            solver.params().getBool("propagating/redcostinherit", true);
         const auto& ub = solver.localUb();
         const auto fixEdges = [&](const std::vector<int>& edges,
                                   bool inheritable) {
@@ -646,8 +634,7 @@ cip::ReduceResult StpReductionPropagator::propagate(cip::Solver& solver) {
                     if (r == cip::ReduceResult::Reduced) {
                         reduced = true;
                         ++arcsFixed;
-                        if (inheritable && inherit)
-                            solver.recordInheritedBound(var);
+                        if (inheritable) solver.recordInheritedBound(var);
                     }
                 }
             }
@@ -673,11 +660,9 @@ cip::ReduceResult StpReductionPropagator::propagate(cip::Solver& solver) {
 }
 
 cip::ReduceResult StpReductionPropagator::propagateLp(cip::Solver& solver) {
-    if (!solver.params().getBool("stp/redprop/incremental", true) ||
-        !solver.params().getBool("stp/redprop/lpfix", true))
-        return cip::ReduceResult::Unchanged;
     const cip::Node* node = solver.currentNode();
-    if (!node) return cip::ReduceResult::Unchanged;
+    if (!node || solver.params().getInt("stp/redprop/freq", 4) <= 0)
+        return cip::ReduceResult::Unchanged;
     const double cutoff = solver.pruningCutoff();
     if (cutoff >= cip::kInf) return cip::ReduceResult::Unchanged;
     const double lpObj = solver.lpObjective();
@@ -696,8 +681,6 @@ cip::ReduceResult StpReductionPropagator::propagateLp(cip::Solver& solver) {
     const auto& ub = solver.localUb();
     const Graph& g = inst_.graph;
     VertexBranchState st = parseVertexBranches(inst_, node->desc.customBranches);
-    const bool inherit =
-        solver.params().getBool("propagating/redcostinherit", true);
     const auto isTerm = [&](int v) {
         return g.isTerminal(v) || st.flag[static_cast<std::size_t>(v)] == 1;
     };
@@ -753,7 +736,7 @@ cip::ReduceResult StpReductionPropagator::propagateLp(cip::Solver& solver) {
                 if (rr == cip::ReduceResult::Reduced) {
                     reduced = true;
                     ++fixed;
-                    if (inherit) solver.recordInheritedBound(var);
+                    solver.recordInheritedBound(var);
                 }
             }
         }
@@ -869,15 +852,11 @@ void installStpPlugins(cip::Solver& solver, const SapInstance& inst) {
     if (!p.has("stp/sepa/maxcuts")) p.setInt("stp/sepa/maxcuts", 12);
     if (!p.has("stp/sepa/violationtol"))
         p.setReal("stp/sepa/violationtol", 0.05);
-    if (!p.has("stp/sepa/maxnested")) p.setInt("stp/sepa/maxnested", 8);
     // Solver-lifetime dominance-filtered cut pool: reject duplicate and
     // dominated (superset-support) cuts across rounds, retire pooled cuts a
-    // stronger subset cut supersedes. 0 = pool every cut regardless of
-    // support width.
+    // stronger subset cut supersedes.
     if (!p.has("stp/sepa/pooldominance"))
         p.setBool("stp/sepa/pooldominance", true);
-    if (!p.has("separating/poolmaxsupport"))
-        p.setInt("separating/poolmaxsupport", 0);
     // Cross-solver cut sharing: piggyback newly admitted pool supports on
     // Status/Terminated (bounded batches) and accept certification-gated
     // priming bundles with assignments. Read by the ug layer and by the
@@ -885,12 +864,6 @@ void installStpPlugins(cip::Solver& solver, const SapInstance& inst) {
     // per-solver separation.
     if (!p.has("stp/share/enable")) p.setBool("stp/share/enable", true);
     if (!p.has("stp/share/maxcutsup")) p.setInt("stp/share/maxcutsup", 32);
-    // In-tree reduction propagation: incremental persistent engine with
-    // warm-started dual ascent (off: the legacy rebuild-per-pass loop), and
-    // LP-reduced-cost arc fixing with the flow-balance extension.
-    if (!p.has("stp/redprop/incremental"))
-        p.setBool("stp/redprop/incremental", true);
-    if (!p.has("stp/redprop/lpfix")) p.setBool("stp/redprop/lpfix", true);
 }
 
 }  // namespace steiner

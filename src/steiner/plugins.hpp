@@ -155,17 +155,16 @@ private:
 
 /// In-tree reductions ("reduction techniques are extremely important both
 /// in presolving and domain propagation", paper section 3.1), run as domain
-/// propagation at frequency-selected depths and additionally whenever the
-/// primal bound improved since the last pass.
+/// propagation at depths divisible by "stp/redprop/freq" (default 4) and
+/// additionally whenever the primal bound improved since the last pass.
+/// freq <= 0 turns the propagator off, propagateLp included.
 ///
-/// With "stp/redprop/incremental" (default on) the pass runs on a
-/// persistent ReduceEngine: the node subgraph is synced by bound-change
-/// deltas, the dual ascent is warm-started from the cached parent/root
-/// state, unchanged nodes skip the pass entirely, and harvested ascent cuts
-/// are fed to the constraint handler's primed-cut path. Bound-derived
-/// fixings are recorded into the node description so children inherit them.
-/// With the parameter off, the original rebuild-everything
-/// reduceSubgraphAndFix pass runs instead (per-node behavior unchanged).
+/// The pass runs on a persistent ReduceEngine: the node subgraph is synced
+/// by bound-change deltas, the dual ascent is warm-started from the cached
+/// parent/root state, unchanged nodes skip the pass entirely, and harvested
+/// ascent cuts are fed to the constraint handler's primed-cut path.
+/// Bound-derived fixings are recorded into the node description so
+/// children inherit them.
 ///
 /// propagateLp adds LP-reduced-cost arc fixing strengthened by the
 /// flow-balance extension argument: an arc into a non-required non-terminal
@@ -196,9 +195,9 @@ private:
     double lastLpCutoff_ = cip::kInf;
 };
 
-/// Shared deletion-only reduction pass on the subgraph induced by the
-/// solver's current local bounds + vertex-branching state; fixes deleted
-/// edges' arcs to zero via tightenUb.
+/// Deletion-only reduction pass (layered presolving) on the subgraph
+/// induced by the solver's current local bounds + vertex-branching state;
+/// fixes deleted edges' arcs to zero via tightenUb.
 cip::ReduceResult reduceSubgraphAndFix(cip::Solver& solver,
                                        const SapInstance& inst,
                                        bool extended);

@@ -120,7 +120,7 @@ struct UgConfig {
 
     /// Parameter overrides attached when redispatching a stalled root
     /// (retryLevel > 0). Empty means "use the built-in fallback profile"
-    /// (lp/pricing=devex, stp/redprop/incremental=false).
+    /// (lp/pricing=devex, stp/redprop/freq=0).
     cip::ParamSet stallFallbackParams;
 
     /// Cut-sharing quarantine: after this many *consecutive* corrupt (decode-

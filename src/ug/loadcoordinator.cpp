@@ -12,20 +12,18 @@ namespace ug {
 LoadCoordinator::LoadCoordinator(ParaComm& comm, const UgConfig& cfg)
     : comm_(comm),
       cfg_(cfg),
-      cutPool_(cfg.numSolvers + 1,
-               cfg.baseParams.getInt("stp/share/maxpool", 512)),
+      cutPool_(cfg.numSolvers + 1, 512),
       shareCuts_(cfg.baseParams.getBool("stp/share/enable", true)),
       shareMaxCuts_(cfg.baseParams.getInt("stp/share/maxcutsup", 32)),
-      shareAdaptive_(cfg.baseParams.getBool("stp/share/adaptivebatch", true)),
       cutoff_(cip::kInf) {
     info_.resize(cfg_.numSolvers + 1);
     stallParams_ = cfg_.stallFallbackParams;
     if (stallParams_.raw().empty()) {
         // Built-in fallback profile for stalled-root redispatch: a different
-        // pricing rule and non-incremental reduction propagation sidestep
-        // the two subsystems most likely to loop on a pathological node.
+        // pricing rule and no reduction propagation sidestep the two
+        // subsystems most likely to loop on a pathological node.
         stallParams_.setString("lp/pricing", "devex");
-        stallParams_.setBool("stp/redprop/incremental", false);
+        stallParams_.setInt("stp/redprop/freq", 0);
     }
     if (cfg_.faults.tornWriteProb > 0)
         tornWriter_.emplace(cfg_.faults.tornWriteProb, cfg_.faults.seed);
@@ -95,7 +93,6 @@ void LoadCoordinator::observeShareTelemetry(SolverInfo& si, const LpEffort& e) {
 }
 
 int LoadCoordinator::primingBatchFor(int receiver) const {
-    if (!shareAdaptive_) return shareMaxCuts_;
     // A rank admitting everything gets up to 2x the configured batch, one
     // rejecting everything ramps down; clamp keeps the bundle useful without
     // letting a hot streak flood the wire.

@@ -131,8 +131,8 @@ private:
     /// Fold a worker report's shared-cut counters into the rank's admit-rate
     /// EWMA (deltas against the previous report of the same subproblem).
     void observeShareTelemetry(SolverInfo& si, const LpEffort& e);
-    /// Per-receiver priming batch bound: the static stp/share/maxcutsup, or
-    /// the EWMA-scaled adaptive size clamped to [8, 128].
+    /// Per-receiver priming batch bound: stp/share/maxcutsup scaled by the
+    /// receiver's admit-rate EWMA, clamped to [8, 128].
     int primingBatchFor(int receiver) const;
     void checkDone();
     void terminateAll();
@@ -146,11 +146,9 @@ private:
     UgConfig cfg_;
 
     std::vector<cip::SubproblemDesc> pool_;
-    GlobalCutPool cutPool_;  ///< cross-solver shared cut supports
+    GlobalCutPool cutPool_;  ///< cross-solver shared cut supports (512 slots)
     bool shareCuts_ = true;  ///< stp/share/enable (from cfg.baseParams)
     int shareMaxCuts_ = 32;  ///< stp/share/maxcutsup: per-message batch bound
-    bool shareAdaptive_ = true;  ///< stp/share/adaptivebatch: scale the batch
-                                 ///< per receiver by its admit-rate EWMA
     std::vector<SolverInfo> info_;  ///< index 1..numSolvers (0 unused)
     cip::Solution best_;
     double cutoff_;  ///< objective of best_, or +inf

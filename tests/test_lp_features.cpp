@@ -135,7 +135,7 @@ TEST(SimplexAntiCycling, BealeCyclingLpTerminates) {
 }
 
 TEST(SimplexRefactor, EtaGrowthTriggersRefactorization) {
-    // A long chain of bound-change reoptimizations accumulates eta updates;
+    // A long chain of bound-change reoptimizations accumulates FT updates;
     // the fill budget / residual backstop must refactorize along the way and
     // the final answer must match a cold solve of the same bounds.
     std::mt19937 rng(17);
@@ -156,7 +156,7 @@ TEST(SimplexRefactor, EtaGrowthTriggersRefactorization) {
     const long factAfterFirst = s.factorizations();
     const long itersAfterFirst = s.iterations();
     // Alternate every column's upper bound each round; each resolve has to
-    // pivot, steadily growing the eta file past its fill budget.
+    // pivot, steadily growing the factor past its fill budget.
     const int rounds = 40;
     for (int round = 0; round < rounds; ++round) {
         for (int j = 0; j < n; ++j)

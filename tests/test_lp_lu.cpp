@@ -1,6 +1,6 @@
 // Tests for the sparse LU basis factorization (lp/lu.hpp): kernel-level
 // FTRAN/BTRAN round trips and Forrest–Tomlin update correctness against
-// fresh factorizations, plus engine-level agreement between the LU, PFI and
+// fresh factorizations, plus engine-level agreement between the LU and
 // dense simplex implementations and the singular-basis repair path.
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 
 using lp::Basis;
 using lp::DenseSimplexSolver;
-using lp::Factorization;
 using lp::kInf;
 using lp::LpModel;
 using lp::LuFactor;
@@ -251,67 +250,47 @@ TEST(LuFactorProperty, ForrestTomlinUpdatesMatchFreshFactorization) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level agreement: LU vs PFI vs dense
+// Engine-level agreement: LU vs dense
 // ---------------------------------------------------------------------------
 
-TEST(LuPfiDenseAgreement, ColdSolves) {
+TEST(LuDenseAgreement, ColdSolves) {
     for (unsigned seed = 1; seed <= 5; ++seed) {
         for (bool steiner : {false, true}) {
             LpModel m = steiner ? steinerCutLp(40, 40, seed)
                                 : randomBoxLp(25, 25, seed);
             SimplexSolver lu;
-            lu.setFactorization(Factorization::LU);
             lu.load(m);
-            SimplexSolver pfi;
-            pfi.setFactorization(Factorization::PFI);
-            pfi.load(m);
             DenseSimplexSolver dense;
             dense.load(m);
-            const SolveStatus sl = lu.solve();
-            const SolveStatus sp = pfi.solve();
-            const SolveStatus sd = dense.solve();
-            EXPECT_EQ(sl, sp);
-            ASSERT_EQ(sl, SolveStatus::Optimal)
+            ASSERT_EQ(lu.solve(), SolveStatus::Optimal)
                 << "seed=" << seed << " steiner=" << steiner;
-            ASSERT_EQ(sd, SolveStatus::Optimal);
+            ASSERT_EQ(dense.solve(), SolveStatus::Optimal);
             EXPECT_NEAR(lu.objective(), dense.objective(), 1e-6);
-            EXPECT_NEAR(pfi.objective(), dense.objective(), 1e-6);
         }
     }
 }
 
-TEST(LuPfiDenseAgreement, WarmResolveChain) {
+TEST(LuDenseAgreement, WarmResolveChain) {
     // Branching-style warm chain: exclude an edge, resolve, re-admit,
-    // resolve — all three engines must report identical objectives at every
+    // resolve — both engines must report identical objectives at every
     // step (this is the bench loop's correctness half).
     const int n = 60;
     LpModel m = steinerCutLp(n, n, 11);
     SimplexSolver lu;
-    lu.setFactorization(Factorization::LU);
     lu.load(m);
-    SimplexSolver pfi;
-    pfi.setFactorization(Factorization::PFI);
-    pfi.load(m);
     DenseSimplexSolver dense;
     dense.load(m);
     ASSERT_EQ(lu.solve(), SolveStatus::Optimal);
-    ASSERT_EQ(pfi.solve(), SolveStatus::Optimal);
     ASSERT_EQ(dense.solve(), SolveStatus::Optimal);
     int j = 0;
     bool down = true;
     for (int it = 0; it < 200; ++it) {
         const double ub = down ? 0.0 : 1.0;
         lu.changeBounds(j, 0.0, ub);
-        pfi.changeBounds(j, 0.0, ub);
         dense.changeBounds(j, 0.0, ub);
-        const SolveStatus sl = lu.resolve();
-        const SolveStatus sp = pfi.resolve();
-        const SolveStatus sd = dense.resolve();
-        ASSERT_EQ(sl, SolveStatus::Optimal) << "it=" << it;
-        ASSERT_EQ(sp, SolveStatus::Optimal) << "it=" << it;
-        ASSERT_EQ(sd, SolveStatus::Optimal) << "it=" << it;
+        ASSERT_EQ(lu.resolve(), SolveStatus::Optimal) << "it=" << it;
+        ASSERT_EQ(dense.resolve(), SolveStatus::Optimal) << "it=" << it;
         ASSERT_NEAR(lu.objective(), dense.objective(), 1e-6) << "it=" << it;
-        ASSERT_NEAR(pfi.objective(), dense.objective(), 1e-6) << "it=" << it;
         if (!down) j = (j + 7) % n;
         down = !down;
     }
@@ -351,14 +330,12 @@ TEST(SingularBasisRepair, LuHealsDuplicateColumnBasis) {
     for (double perturb : {0.0, 1e-14}) {
         LpModel m = duplicateColumnLp(perturb);
         SimplexSolver cold;
-        cold.setFactorization(Factorization::LU);
         cold.load(m);
         ASSERT_EQ(cold.solve(), SolveStatus::Optimal);
         const double ref = cold.objective();
 
         SimplexSolver s;
-        s.setFactorization(Factorization::LU);
-        s.load(m);
+            s.load(m);
         // The LU path repairs the singular basis in place (unpivotable
         // slots are filled with slacks of uncovered rows), so the snapshot
         // loads and the subsequent resolve reaches the optimum.
@@ -369,23 +346,11 @@ TEST(SingularBasisRepair, LuHealsDuplicateColumnBasis) {
     }
 }
 
-TEST(SingularBasisRepair, PfiRejectsDuplicateColumnBasis) {
-    LpModel m = duplicateColumnLp(0.0);
-    SimplexSolver s;
-    s.setFactorization(Factorization::PFI);
-    s.load(m);
-    // The eta-file path has no repair: loadBasis must report failure so the
-    // caller falls back to a cold solve — and that cold solve must work.
-    EXPECT_FALSE(s.loadBasis(duplicateColumnBasis()));
-    ASSERT_EQ(s.solve(), SolveStatus::Optimal);
-}
-
 TEST(SingularBasisRepair, RepairedWarmChainKeepsSolving) {
     // After a repair the solver must remain usable for further warm
     // resolves (the factor policy state is reset correctly).
     LpModel m = duplicateColumnLp(0.0);
     SimplexSolver s;
-    s.setFactorization(Factorization::LU);
     s.load(m);
     ASSERT_TRUE(s.loadBasis(duplicateColumnBasis()));
     ASSERT_EQ(s.resolve(), SolveStatus::Optimal);

@@ -72,25 +72,6 @@ TEST(CutPool, DuplicateAndDominanceBasics) {
     EXPECT_EQ(s.dominatedEvicted, 2);
 }
 
-TEST(CutPool, MaxSupportLeavesWideCutsUntracked) {
-    CutPool pool(16);
-    pool.setMaxSupport(2);
-    int id = -7;
-    std::vector<int> evicted;
-    EXPECT_EQ(pool.offer({1, 2, 3}, &id, &evicted),
-              CutPool::Verdict::Untracked);
-    EXPECT_EQ(id, -7);  // untouched on non-admission
-    EXPECT_TRUE(evicted.empty());
-    EXPECT_EQ(pool.size(), 0u);
-    // Untracked cuts leave no trace: the same support is untracked again and
-    // a narrow subset of it is admitted normally.
-    EXPECT_EQ(pool.offer({1, 2, 3}), CutPool::Verdict::Untracked);
-    EXPECT_EQ(pool.offer({1, 2}), CutPool::Verdict::Admitted);
-    EXPECT_EQ(pool.stats().untracked, 2);
-    // Empty supports are never tracked either.
-    EXPECT_EQ(pool.offer({}), CutPool::Verdict::Untracked);
-}
-
 TEST(CutPool, RemoveAllowsReadmission) {
     CutPool pool(8);
     int id = -1;
@@ -104,6 +85,15 @@ TEST(CutPool, RemoveAllowsReadmission) {
     // with the conshdlr depends on.
     EXPECT_EQ(pool.offer({0, 5}), CutPool::Verdict::Admitted);
     EXPECT_EQ(pool.size(), 1u);
+    // Empty supports are never tracked and leave no trace.
+    int untouched = -7;
+    std::vector<int> evicted{42};
+    EXPECT_EQ(pool.offer({}, &untouched, &evicted),
+              CutPool::Verdict::Untracked);
+    EXPECT_EQ(untouched, -7);
+    EXPECT_TRUE(evicted.empty());
+    EXPECT_EQ(pool.size(), 1u);
+    EXPECT_EQ(pool.stats().untracked, 1);
 }
 
 // --- randomized verdicts vs a brute-force dominance oracle --------------------
@@ -338,8 +328,8 @@ RootStats rootSeparationRun(const Graph& g, bool dominance) {
     // The incremental reduction engine can solve easy instances outright at
     // the root (heuristic incumbent + bound-based fixing) before a single
     // separation round runs; this test measures separation trajectories, so
-    // pin the legacy propagation behavior.
-    solver.params().setBool("stp/redprop/incremental", false);
+    // turn reduction propagation off.
+    solver.params().setInt("stp/redprop/freq", 0);
     installStpPlugins(solver, inst);
     solver.solve();
     RootStats rs;

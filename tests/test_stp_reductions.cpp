@@ -309,22 +309,14 @@ TEST(StpReduceEngine, PreservesNodeSubgraphOptimumAcrossResyncs) {
 TEST(StpReduceEngine, SolverModesReachIdenticalOptima) {
     for (unsigned seed : {2u, 6u}) {
         Graph g = genHypercube(4, true, seed);
-        SteinerSolver incremental(g), legacy(g), noFix(g);
+        SteinerSolver incremental(g), noFix(g);
         cip::ParamSet pIncr;  // defaults: engine + LP reduced-cost fixing on
-        cip::ParamSet pLegacy;  // the pre-engine per-node behavior
-        pLegacy.setBool("stp/redprop/incremental", false);
-        pLegacy.setBool("stp/redprop/lpfix", false);
-        pLegacy.setBool("propagating/redcostfix", false);
-        pLegacy.setBool("propagating/redcostresolve", true);
         cip::ParamSet pNoFix;  // engine on, generic redcost fixing off
         pNoFix.setBool("propagating/redcostfix", false);
         const SteinerResult rIncr = incremental.solve(pIncr);
-        const SteinerResult rLegacy = legacy.solve(pLegacy);
         const SteinerResult rNoFix = noFix.solve(pNoFix);
         ASSERT_EQ(rIncr.status, cip::Status::Optimal) << seed;
-        ASSERT_EQ(rLegacy.status, cip::Status::Optimal) << seed;
         ASSERT_EQ(rNoFix.status, cip::Status::Optimal) << seed;
-        EXPECT_NEAR(rIncr.cost, rLegacy.cost, 1e-6) << seed;
         EXPECT_NEAR(rIncr.cost, rNoFix.cost, 1e-6) << seed;
     }
 }

@@ -510,7 +510,20 @@ TEST(UgStall, ChattyButStuckRankIsInterruptedThenRedispatchedWithFallback) {
     ASSERT_NE(sub, nullptr);
     EXPECT_EQ(sub->desc.retryLevel, 1);
     EXPECT_EQ(sub->params.getString("lp/pricing", ""), "devex");
-    EXPECT_FALSE(sub->params.getBool("stp/redprop/incremental", true));
+    EXPECT_EQ(sub->params.getInt("stp/redprop/freq", 4), 0);
+
+    // The fallback profile really turns reduction propagation off: a Steiner
+    // solve under it runs no pass and fixes no arc, and still finds the
+    // optimum.
+    steiner::Graph g = steiner::genHypercube(4, true, 3);
+    auto opt = steiner::steinerDpOptimal(g);
+    ASSERT_TRUE(opt.has_value());
+    steiner::SteinerSolver fallback(g);
+    const steiner::SteinerResult sr = fallback.solve(sub->params);
+    ASSERT_EQ(sr.status, cip::Status::Optimal);
+    EXPECT_NEAR(sr.cost, *opt, 1e-6);
+    EXPECT_EQ(sr.stats.redpropRuns, 0);
+    EXPECT_EQ(sr.stats.redpropArcsFixed, 0);
 }
 
 TEST(UgStall, UnresponsiveStalledRankEscalatesToDead) {

@@ -2,8 +2,11 @@
 // brute-force subset-enumeration oracles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <queue>
 #include <random>
+#include <string>
 
 #include "steiner/instances.hpp"
 #include "steiner/variants.hpp"
@@ -174,6 +177,62 @@ INSTANTIATE_TEST_SUITE_P(Seeds, NodeWeighted, ::testing::Values(1, 2, 3, 4));
 
 class DegreeConstrained : public ::testing::TestWithParam<int> {};
 
+namespace {
+
+/// Cheapest edge subset that spans the terminals within the degree bounds
+/// (maxDegree <= 0: unconstrained), by subset enumeration; 1e100 if none.
+double degreeConstrainedBruteForce(const DegreeConstrainedProblem& prob) {
+    const Graph& g = prob.graph;
+    const int m = g.numEdges();
+    double best = 1e100;
+    std::vector<int> edges;
+    std::vector<int> deg(g.numVertices());
+    for (long mask = 0; mask < (1L << m); ++mask) {
+        edges.clear();
+        std::fill(deg.begin(), deg.end(), 0);
+        double c = 0;
+        bool ok = true;
+        for (int e = 0; e < m && ok; ++e) {
+            if (!(mask & (1L << e))) continue;
+            edges.push_back(e);
+            c += g.edge(e).cost;
+            for (int v : {g.edge(e).u, g.edge(e).v})
+                if (prob.maxDegree[v] > 0 && ++deg[v] > prob.maxDegree[v])
+                    ok = false;
+        }
+        if (ok && c < best && g.spansTerminals(edges)) best = c;
+    }
+    return best;
+}
+
+void expectSolveMatchesBruteForce(const DegreeConstrainedProblem& prob,
+                                  const std::string& label) {
+    const double best = degreeConstrainedBruteForce(prob);
+    SapInstance inst = buildDegreeConstrainedSap(prob);
+    SteinerResult res = solveVariant(inst);
+    // Gadget graphs run without the reduction package (solveVariant turns
+    // it off): no pass may run, no arc may be fixed by it.
+    EXPECT_EQ(res.stats.redpropRuns, 0) << label;
+    EXPECT_EQ(res.stats.redpropArcsFixed, 0) << label;
+    if (best >= 1e99) {
+        EXPECT_NE(res.status, cip::Status::Optimal) << label;
+        return;
+    }
+    ASSERT_EQ(res.status, cip::Status::Optimal) << label;
+    EXPECT_NEAR(res.cost, best, 1e-5) << label;
+}
+
+/// Instances on which in-tree reductions returned a wrong Optimal (17, 25
+/// and 19 against optima 16, 22 and 18.5): smallGraph(seed, n, n) with
+/// terminals on even vertices and degree bound 2 on odd ones.
+struct DcRegression {
+    unsigned seed;
+    int n;
+};
+constexpr DcRegression kDcRegressions[] = {{177, 8}, {240, 12}, {261, 10}};
+
+}  // namespace
+
 TEST_P(DegreeConstrained, MatchesBruteForce) {
     for (int rep = 0; rep < 3; ++rep) {
         DegreeConstrainedProblem prob;
@@ -182,36 +241,26 @@ TEST_P(DegreeConstrained, MatchesBruteForce) {
         prob.graph.setTerminal(2, true);
         prob.graph.setTerminal(4, true);
         prob.maxDegree.assign(prob.graph.numVertices(), 2);
-
-        const int m = prob.graph.numEdges();
-        double best = 1e100;
-        for (int mask = 0; mask < (1 << m); ++mask) {
-            std::vector<int> edges;
-            std::vector<int> deg(prob.graph.numVertices(), 0);
-            double c = 0;
-            bool degOk = true;
-            for (int e = 0; e < m; ++e)
-                if (mask & (1 << e)) {
-                    edges.push_back(e);
-                    c += prob.graph.edge(e).cost;
-                    if (++deg[prob.graph.edge(e).u] > 2) degOk = false;
-                    if (++deg[prob.graph.edge(e).v] > 2) degOk = false;
-                }
-            if (!degOk || !prob.graph.spansTerminals(edges)) continue;
-            best = std::min(best, c);
-        }
-
-        SapInstance inst = buildDegreeConstrainedSap(prob);
-        SteinerResult res = solveVariant(inst);
-        if (best >= 1e99) {
-            EXPECT_NE(res.status, cip::Status::Optimal);
-            continue;
-        }
-        ASSERT_EQ(res.status, cip::Status::Optimal)
-            << "seed=" << GetParam() << " rep=" << rep;
-        EXPECT_NEAR(res.cost, best, 1e-5)
-            << "seed=" << GetParam() << " rep=" << rep;
+        expectSolveMatchesBruteForce(
+            prob, "seed=" + std::to_string(GetParam()) +
+                      " rep=" + std::to_string(rep));
     }
+    // One regression instance per parameter, while they last.
+    const std::size_t k = static_cast<std::size_t>(GetParam() - 1);
+    if (k >= std::size(kDcRegressions)) return;
+    const DcRegression& r = kDcRegressions[k];
+    DegreeConstrainedProblem prob;
+    prob.graph = smallGraph(r.seed, r.n, r.n);
+    prob.maxDegree.assign(r.n, 0);
+    for (int v = 0; v < r.n; ++v) {
+        if (v % 2 == 0)
+            prob.graph.setTerminal(v, true);
+        else
+            prob.maxDegree[v] = 2;
+    }
+    expectSolveMatchesBruteForce(prob, "regression seed=" +
+                                           std::to_string(r.seed) +
+                                           " n=" + std::to_string(r.n));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DegreeConstrained,
