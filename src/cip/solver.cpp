@@ -10,6 +10,10 @@ namespace {
 constexpr double kIntTol = 1e-6;
 constexpr double kBoundTol = 1e-9;
 constexpr double kFeasTol = 1e-6;
+constexpr int kPresolveMaxRounds = 10;
+constexpr int kDivingMaxDepth = 20;         ///< LP diving depth limit
+constexpr int kStrongMaxCands = 8;          ///< candidates probed per node
+constexpr long kStrongProbeIterLimit = 200; ///< simplex iterations per probe
 }  // namespace
 
 const char* toString(Status s) {
@@ -183,8 +187,7 @@ void Solver::initSolve() {
 }
 
 void Solver::runPresolve() {
-    const int maxRounds = params_.getInt("presolving/maxrounds", 10);
-    for (int round = 0; round < maxRounds; ++round) {
+    for (int round = 0; round < kPresolveMaxRounds; ++round) {
         bool reduced = false;
         // Built-in linear bound tightening participates in presolving.
         ReduceResult r = linearPropagation();
@@ -702,11 +705,10 @@ std::optional<Solution> Solver::divingHeuristic(const std::vector<double>& x0) {
     // LP diving: repeatedly bound the most fractional integer variable to its
     // nearest integer and resolve, up to a depth limit. All bound changes are
     // rolled back afterwards.
-    const int maxDepth = params_.getInt("heuristics/diving/maxdepth", 20);
     std::vector<double> saveLb = curLb_, saveUb = curUb_;
     std::vector<double> x = x0;
     std::optional<Solution> found;
-    for (int d = 0; d < maxDepth; ++d) {
+    for (int d = 0; d < kDivingMaxDepth; ++d) {
         const int j = mostFractionalVar(x);
         if (j < 0) {
             // Integral: candidate.
@@ -796,8 +798,6 @@ int Solver::pseudocostVar(const std::vector<double>& x) const {
 
 int Solver::strongBranchingVar(const std::vector<double>& x) {
     if (!lpBuilt_ || !lpSolutionValid_) return -1;
-    const int maxCands = params_.getInt("branching/strong/maxcands", 8);
-    const long probeLimit = params_.getInt("branching/strong/iterlimit", 200);
     // Candidates: fractional integer variables, most fractional first.
     std::vector<std::pair<double, int>> cands;
     for (int j = 0; j < model_.numVars(); ++j) {
@@ -808,13 +808,14 @@ int Solver::strongBranchingVar(const std::vector<double>& x) {
     }
     if (cands.empty()) return -1;
     std::sort(cands.rbegin(), cands.rend());
-    if (static_cast<int>(cands.size()) > maxCands) cands.resize(maxCands);
+    if (static_cast<int>(cands.size()) > kStrongMaxCands)
+        cands.resize(kStrongMaxCands);
 
     const lp::Basis preProbe = lp_.basis();
     if (!preProbe.valid()) return -1;
     const double baseObj = lpObj_;
     const long savedLimit = lp_.iterLimit();
-    lp_.setIterLimit(probeLimit);
+    lp_.setIterLimit(kStrongProbeIterLimit);
 
     int best = -1;
     double bestScore = -1.0;

@@ -25,6 +25,7 @@
 #include "cip/node.hpp"
 #include "cip/params.hpp"
 #include "cip/plugins.hpp"
+#include "cip/stats.hpp"
 #include "lp/simplex.hpp"
 
 namespace cip {
@@ -41,75 +42,6 @@ enum class Status {
 };
 
 const char* toString(Status s);
-
-struct Stats {
-    std::int64_t nodesProcessed = 0;
-    std::int64_t nodesCreated = 0;
-    std::int64_t lpIterations = 0;
-    std::int64_t lpFactorizations = 0;  ///< basis (re)factorizations in the LP
-
-    // LP sparsity telemetry (see SimplexSolver::hyperSolves): how many basis
-    // solves the hyper-sparse reach kernels answered vs the dense loops, and
-    // the summed result support size (mean result nnz = lpSolveNnzSum /
-    // (lpHyperSolves + lpDenseSolves)).
-    std::int64_t lpHyperSolves = 0;
-    std::int64_t lpDenseSolves = 0;
-    std::int64_t lpSolveNnzSum = 0;
-    std::int64_t cutsAdded = 0;
-    std::int64_t solutionsFound = 0;
-    int maxDepth = 0;
-    std::int64_t totalCost = 0;   ///< deterministic work units spent
-    std::int64_t rootCost = 0;    ///< work units spent on the root node
-    std::int64_t numericalFailures = 0;  ///< nodes dropped on relax failure
-    std::int64_t basisWarmStarts = 0;  ///< node LPs started from parent basis
-    std::int64_t strongBranchProbes = 0;  ///< strong-branching LP probes run
-
-    // Separation-engine counters, reported by separating plugins via
-    // Solver::recordSeparationStats (e.g. the Steiner cut engine).
-    std::int64_t sepaFlowSolves = 0;   ///< separation oracle (max-flow) calls
-    std::int64_t sepaCutsFound = 0;    ///< violated cuts emitted by plugins
-    std::int64_t sepaNestedCuts = 0;   ///< cuts found at nested depth >= 1
-    std::int64_t sepaBackCuts = 0;     ///< sink-side back cuts emitted
-    int sepaMaxNestedDepth = 0;        ///< deepest nested re-solve chain
-    double sepaSeconds = 0.0;          ///< wall time spent in separation
-
-    // LP-leanness counters: how many rows each separation round leaves in
-    // the LP (the per-worker hot path the dominance-filtered cut pool is
-    // meant to keep small). Mean rows per round = sepaLpRowsSum/sepaRounds.
-    std::int64_t sepaRounds = 0;     ///< separation rounds that added cuts
-    std::int64_t sepaLpRowsSum = 0;  ///< LP rows after each such round, summed
-
-    // Dominance cut-pool counters, reported by pooling plugins via
-    // Solver::recordCutPoolStats (e.g. the Steiner conshdlr's CutPool).
-    std::int64_t cutDupRejected = 0;        ///< exact re-finds rejected
-    std::int64_t cutDominatedRejected = 0;  ///< weaker incoming cuts rejected
-    std::int64_t cutDominatedEvicted = 0;   ///< pooled cuts evicted by subsets
-    std::int64_t cutPoolSize = 0;           ///< plugin pool size (last report)
-    std::int64_t cutsRetired = 0;  ///< LP cut rows dropped (aging/dominance)
-
-    // Cross-solver cut sharing (receiver side), reported by plugins via
-    // Solver::recordSharedCutStats: supports delivered with the assignment,
-    // and their fate at the local certification gate.
-    std::int64_t sharedCutsReceived = 0;  ///< shared supports queued
-    std::int64_t sharedCutsAdmitted = 0;  ///< certified + violated, in the LP
-    std::int64_t sharedCutsInvalid = 0;   ///< failed certification, dropped
-    std::int64_t sharedCutsDecodeFailures = 0;  ///< whole bundles rejected
-                                                ///< as corrupt at decode
-
-    // Built-in reduced-cost fixing ("propagating/redcostfix"), run after
-    // every Optimal LP solve with a finite incumbent.
-    std::int64_t redcostCalls = 0;        ///< passes with fresh duals + cutoff
-    std::int64_t redcostTightenings = 0;  ///< bounds tightened by the pass
-    std::int64_t redcostFixings = 0;      ///< domains closed to a point
-
-    // Graph-reduction propagation counters, reported by reduction plugins
-    // via Solver::recordReductionStats (e.g. the Steiner ReduceEngine).
-    std::int64_t redpropRuns = 0;          ///< reduction passes executed
-    std::int64_t redpropArcsFixed = 0;     ///< variables fixed by reductions
-    std::int64_t redpropDaWarmStarts = 0;  ///< dual ascents warm-started
-    std::int64_t redpropLbSkips = 0;       ///< cached-bound reuses, no recompute
-    std::int64_t redpropDaCutsFed = 0;     ///< dual-ascent cuts fed to sepa
-};
 
 class Solver {
 public:
@@ -162,6 +94,8 @@ public:
     double dualBound() const;
     double gap() const;
     const Stats& stats() const { return stats_; }
+    /// Plugins add their counter deltas to named fields (see cip/stats.hpp).
+    Stats& stats() { return stats_; }
     int numOpenNodes() const { return static_cast<int>(open_.size()); }
 
     /// Inject an externally found incumbent (from the LoadCoordinator).
@@ -213,52 +147,6 @@ public:
     bool submitSolution(Solution sol);
     /// Extra deterministic work units (relaxator iterations etc.).
     void addCost(std::int64_t units) { pendingCost_ += units; }
-    /// Accumulate separation-engine counters into the solver statistics
-    /// (deltas since the plugin's previous report).
-    void recordSeparationStats(std::int64_t flowSolves, std::int64_t cuts,
-                               std::int64_t nested, std::int64_t back,
-                               int nestedDepth, double seconds) {
-        stats_.sepaFlowSolves += flowSolves;
-        stats_.sepaCutsFound += cuts;
-        stats_.sepaNestedCuts += nested;
-        stats_.sepaBackCuts += back;
-        if (nestedDepth > stats_.sepaMaxNestedDepth)
-            stats_.sepaMaxNestedDepth = nestedDepth;
-        stats_.sepaSeconds += seconds;
-    }
-    /// Accumulate dominance-pool counters (deltas since the plugin's
-    /// previous report; `poolSize` is the absolute current size).
-    void recordCutPoolStats(std::int64_t dupRejected,
-                            std::int64_t dominatedRejected,
-                            std::int64_t dominatedEvicted,
-                            std::int64_t poolSize) {
-        stats_.cutDupRejected += dupRejected;
-        stats_.cutDominatedRejected += dominatedRejected;
-        stats_.cutDominatedEvicted += dominatedEvicted;
-        stats_.cutPoolSize = poolSize;
-    }
-    /// Accumulate cross-solver shared-cut counters (deltas). A decode
-    /// failure means the whole bundle's framing was corrupt — the
-    /// coordinator uses the count to quarantine the corrupting link.
-    void recordSharedCutStats(std::int64_t received, std::int64_t admitted,
-                              std::int64_t invalid,
-                              std::int64_t decodeFailures = 0) {
-        stats_.sharedCutsReceived += received;
-        stats_.sharedCutsAdmitted += admitted;
-        stats_.sharedCutsInvalid += invalid;
-        stats_.sharedCutsDecodeFailures += decodeFailures;
-    }
-    /// Accumulate graph-reduction propagation counters (deltas since the
-    /// plugin's previous report).
-    void recordReductionStats(std::int64_t runs, std::int64_t arcsFixed,
-                              std::int64_t daWarmStarts, std::int64_t lbSkips,
-                              std::int64_t daCutsFed) {
-        stats_.redpropRuns += runs;
-        stats_.redpropArcsFixed += arcsFixed;
-        stats_.redpropDaWarmStarts += daWarmStarts;
-        stats_.redpropLbSkips += lbSkips;
-        stats_.redpropDaCutsFed += daCutsFed;
-    }
     /// Record the variable's *current* local bounds into the node's
     /// subproblem description so children inherit them. Only sound for
     /// reductions valid in the entire subtree — e.g. cutoff-derived fixings

@@ -45,6 +45,18 @@ void StpConshdlr::syncRetiredCuts(cip::Solver& solver) {
     }
 }
 
+void StpConshdlr::reportPoolStats(cip::Solver& solver) {
+    const CutPoolStats& ps = pool_.stats();
+    cip::Stats& st = solver.stats();
+    st.cutDupRejected += ps.dupRejected - reportedPool_.dupRejected;
+    st.cutDominatedRejected +=
+        ps.dominatedRejected - reportedPool_.dominatedRejected;
+    st.cutDominatedEvicted +=
+        ps.dominatedEvicted - reportedPool_.dominatedEvicted;
+    st.cutPoolSize = static_cast<std::int64_t>(pool_.size());
+    reportedPool_ = ps;
+}
+
 void StpConshdlr::primeSharedCuts(cip::Solver& solver,
                                   const ug::CutBundle& cuts) {
     if (cuts.empty()) return;
@@ -53,7 +65,10 @@ void StpConshdlr::primeSharedCuts(cip::Solver& solver,
         // Corrupt framing: nothing in the bundle is trustworthy. The decode
         // failure itself is counted so the coordinator can quarantine the
         // link that keeps delivering corrupt bundles.
-        solver.recordSharedCutStats(cuts.count(), 0, cuts.count(), 1);
+        cip::Stats& st = solver.stats();
+        st.shareCutsReceived += cuts.count();
+        st.shareCutsInvalid += cuts.count();
+        ++st.shareCutsDecodeFailures;
         return;
     }
     std::int64_t invalid = 0;
@@ -74,8 +89,9 @@ void StpConshdlr::primeSharedCuts(cip::Solver& solver,
         }
         primed_.push_back({std::move(cs.vars), 0, 0});
     }
-    solver.recordSharedCutStats(static_cast<std::int64_t>(decoded.size()), 0,
-                                invalid);
+    solver.stats().shareCutsReceived +=
+        static_cast<std::int64_t>(decoded.size());
+    solver.stats().shareCutsInvalid += invalid;
 }
 
 void StpConshdlr::primeLocalSupports(std::vector<std::vector<int>> supports) {
@@ -203,8 +219,8 @@ int StpConshdlr::activatePrimedCuts(cip::Solver& solver,
         if (!pc.local) ++sharedAdded;
     }
     primed_.resize(keep);
-    if (sharedAdded > 0 || invalid > 0)
-        solver.recordSharedCutStats(0, sharedAdded, invalid);
+    solver.stats().shareCutsAdmitted += sharedAdded;
+    solver.stats().shareCutsInvalid += invalid;
     return added;
 }
 
@@ -313,13 +329,7 @@ int StpConshdlr::separate(cip::Solver& solver, const std::vector<double>& x) {
     const int primedAdded = activatePrimedCuts(solver, x, cfg.violationTol);
     if (primedAdded > 0) {
         solver.addCost(1);  // deterministic round charge, same as below
-        const CutPoolStats& ps = pool_.stats();
-        solver.recordCutPoolStats(
-            ps.dupRejected - reportedPool_.dupRejected,
-            ps.dominatedRejected - reportedPool_.dominatedRejected,
-            ps.dominatedEvicted - reportedPool_.dominatedEvicted,
-            static_cast<std::int64_t>(pool_.size()));
-        reportedPool_ = ps;
+        reportPoolStats(solver);
         return primedAdded;
     }
     engine_.beginRound(x, cfg);
@@ -427,19 +437,15 @@ int StpConshdlr::separate(cip::Solver& solver, const std::vector<double>& x) {
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    solver.recordSeparationStats(
-        es.flowSolves - reported_.flowSolves,
-        es.cutsFound - reported_.cutsFound,
-        es.nestedCuts - reported_.nestedCuts,
-        es.backCuts - reported_.backCuts, es.maxNestedDepth, seconds);
+    cip::Stats& st = solver.stats();
+    st.sepaFlowSolves += es.flowSolves - reported_.flowSolves;
+    st.sepaCutsFound += es.cutsFound - reported_.cutsFound;
+    st.sepaNestedCuts += es.nestedCuts - reported_.nestedCuts;
+    st.sepaBackCuts += es.backCuts - reported_.backCuts;
+    st.sepaMaxNestedDepth = std::max(st.sepaMaxNestedDepth, es.maxNestedDepth);
+    st.sepaSeconds += seconds;
     reported_ = es;
-    const CutPoolStats& ps = pool_.stats();
-    solver.recordCutPoolStats(
-        ps.dupRejected - reportedPool_.dupRejected,
-        ps.dominatedRejected - reportedPool_.dominatedRejected,
-        ps.dominatedEvicted - reportedPool_.dominatedEvicted,
-        static_cast<std::int64_t>(pool_.size()));
-    reportedPool_ = ps;
+    reportPoolStats(solver);
     return termCuts + vertCuts;
 }
 
@@ -562,7 +568,8 @@ StpSubproblemReducer::StpSubproblemReducer(const SapInstance& inst)
 cip::ReduceResult StpSubproblemReducer::presolve(cip::Solver& solver) {
     if (ran_) return cip::ReduceResult::Unchanged;
     ran_ = true;
-    if (!solver.params().getBool("stp/layeredpresolve", true))
+    if (inst_.gadgetGraph ||
+        !solver.params().getBool("stp/layeredpresolve", true))
         return cip::ReduceResult::Unchanged;
     const bool extended = solver.params().getBool("stp/extended", true);
     return reduceSubgraphAndFix(solver, inst_, extended);
@@ -577,9 +584,11 @@ StpReductionPropagator::StpReductionPropagator(const SapInstance& inst,
 
 cip::ReduceResult StpReductionPropagator::propagate(cip::Solver& solver) {
     const cip::Node* node = solver.currentNode();
-    // "stp/redprop/freq" <= 0 turns the propagator off (propagateLp too).
+    // "stp/redprop/freq" <= 0 or a gadget graph turns the propagator off
+    // (propagateLp too).
     const int freq = solver.params().getInt("stp/redprop/freq", 4);
-    if (!node || node->id == lastNode_ || freq <= 0)  // once per node
+    if (!node || node->id == lastNode_ || freq <= 0 ||  // once per node
+        inst_.gadgetGraph)
         return cip::ReduceResult::Unchanged;
     // Run at frequency-selected depths (including the root, which seeds the
     // ascent cache) and whenever the primal bound improved since the last
@@ -650,9 +659,12 @@ cip::ReduceResult StpReductionPropagator::propagate(cip::Solver& solver) {
         }
     }
     const ReduceEngineStats& es = engine_.stats();
-    solver.recordReductionStats(es.runs - reported_.runs, arcsFixed,
-                                es.daWarmStarts - reported_.daWarmStarts,
-                                es.lbSkips - reported_.lbSkips, cutsFed);
+    cip::Stats& stats = solver.stats();
+    stats.redpropRuns += es.runs - reported_.runs;
+    stats.redpropArcsFixed += arcsFixed;
+    stats.redpropDaWarmStarts += es.daWarmStarts - reported_.daWarmStarts;
+    stats.redpropLbSkips += es.lbSkips - reported_.lbSkips;
+    stats.redpropDaCutsFed += cutsFed;
     reported_ = es;
     if (infeasible) return cip::ReduceResult::Infeasible;
     return reduced ? cip::ReduceResult::Reduced
@@ -661,7 +673,8 @@ cip::ReduceResult StpReductionPropagator::propagate(cip::Solver& solver) {
 
 cip::ReduceResult StpReductionPropagator::propagateLp(cip::Solver& solver) {
     const cip::Node* node = solver.currentNode();
-    if (!node || solver.params().getInt("stp/redprop/freq", 4) <= 0)
+    if (!node || inst_.gadgetGraph ||
+        solver.params().getInt("stp/redprop/freq", 4) <= 0)
         return cip::ReduceResult::Unchanged;
     const double cutoff = solver.pruningCutoff();
     if (cutoff >= cip::kInf) return cip::ReduceResult::Unchanged;
@@ -741,7 +754,7 @@ cip::ReduceResult StpReductionPropagator::propagateLp(cip::Solver& solver) {
             }
         }
     }
-    if (fixed > 0) solver.recordReductionStats(0, fixed, 0, 0, 0);
+    solver.stats().redpropArcsFixed += fixed;
     return reduced ? cip::ReduceResult::Reduced : cip::ReduceResult::Unchanged;
 }
 
@@ -859,11 +872,9 @@ void installStpPlugins(cip::Solver& solver, const SapInstance& inst) {
         p.setBool("stp/sepa/pooldominance", true);
     // Cross-solver cut sharing: piggyback newly admitted pool supports on
     // Status/Terminated (bounded batches) and accept certification-gated
-    // priming bundles with assignments. Read by the ug layer and by the
-    // SteinerUserPlugins sharing hooks; disabling reproduces strictly
-    // per-solver separation.
+    // priming bundles with assignments. Read by the ug layer; disabling
+    // reproduces strictly per-solver separation.
     if (!p.has("stp/share/enable")) p.setBool("stp/share/enable", true);
-    if (!p.has("stp/share/maxcutsup")) p.setInt("stp/share/maxcutsup", 32);
 }
 
 }  // namespace steiner

@@ -82,6 +82,9 @@ private:
     /// Drop cuts the solver aged out of its LP pool from the dominance pool
     /// (consumes Solver::takeRetiredCutTokens), so they can be re-admitted.
     void syncRetiredCuts(cip::Solver& solver);
+    /// Add the dominance pool's counters since the last report (and its
+    /// current size) to the solver statistics.
+    void reportPoolStats(cip::Solver& solver);
     /// Certification oracle for shared supports: true iff deleting the
     /// support's arcs leaves some terminal unreachable from the root, i.e.
     /// "sum of support arcs >= 1" holds for every feasible arborescence.
@@ -157,7 +160,9 @@ private:
 /// in presolving and domain propagation", paper section 3.1), run as domain
 /// propagation at depths divisible by "stp/redprop/freq" (default 4) and
 /// additionally whenever the primal bound improved since the last pass.
-/// freq <= 0 turns the propagator off, propagateLp included.
+/// freq <= 0 turns the propagator off, propagateLp included; so does a
+/// variant instance (SapInstance::gadgetGraph), as it does the layered
+/// presolve (StpSubproblemReducer).
 ///
 /// The pass runs on a persistent ReduceEngine: the node subgraph is synced
 /// by bound-change deltas, the dual ascent is warm-started from the cached

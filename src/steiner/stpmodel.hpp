@@ -25,6 +25,11 @@ struct SapInstance {
     std::vector<int> varArc;               ///< var -> arc id
     cip::Model model;
     double dualAscentBound = 0.0;          ///< root lower bound from Wong DA
+    /// Set by the variant builders (variants.hpp): a gadget graph breaks
+    /// the plain-SPG assumptions of the reduction package, so the layered
+    /// presolve and the reduction propagator stay off and exactness comes
+    /// from branch-and-cut alone.
+    bool gadgetGraph = false;
 
     int numArcs() const { return static_cast<int>(varArc.size()); }
     /// Trivial when <=1 terminal survived presolving.

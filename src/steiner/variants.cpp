@@ -20,6 +20,7 @@ SapInstance buildGeneralSap(
     SapInstance inst;
     inst.graph = std::move(g);
     inst.fixedCost = fixedOffset;
+    inst.gadgetGraph = true;
     const Graph& gr = inst.graph;
     inst.root = gr.rootTerminal();
     inst.arcVar.assign(2 * static_cast<std::size_t>(gr.numEdges()), -1);
@@ -171,6 +172,7 @@ SapInstance buildGroupSteinerSap(const GroupSteinerProblem& prob) {
     if (gadget.empty()) {
         SapInstance inst;
         inst.graph = std::move(g);
+        inst.gadgetGraph = true;
         return inst;
     }
     const int root = gadget[0];  // smallest-index terminal == group 0 gadget
@@ -213,10 +215,6 @@ SteinerResult solveVariant(const SapInstance& inst,
     solver.setModel(inst.model);
     solver.params().merge(params);
     installStpPlugins(solver, inst);
-    // Variant gadget graphs break the plain-SPG assumptions of the
-    // reduction package; exactness comes from branch-and-cut alone.
-    solver.params().setBool("stp/layeredpresolve", false);
-    solver.params().setInt("stp/redprop/freq", 0);
     res.status = solver.solve();
     res.dualBound = solver.dualBound();
     res.stats = solver.stats();

@@ -58,7 +58,9 @@ struct GroupSteinerProblem {
 };
 SapInstance buildGroupSteinerSap(const GroupSteinerProblem& prob);
 
-/// Solve any variant instance sequentially with the standard plugin set.
+/// Solve any variant instance sequentially with the standard plugin set. The
+/// builders above mark their instances (SapInstance::gadgetGraph), so the
+/// reduction package stays off here and in ugcip::solveSteinerParallel.
 SteinerResult solveVariant(const SapInstance& inst,
                            const cip::ParamSet& params = {});
 

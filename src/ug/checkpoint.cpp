@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <type_traits>
 
 #ifdef __unix__
 #include <fcntl.h>
@@ -105,105 +106,31 @@ private:
 };
 
 // ---------------------------------------------------------------------------
-// UgStats <-> bytes. One visitor defines the field order for both directions,
-// so writer and reader cannot drift apart; the serialized field count guards
-// against loading a checkpoint written by a different stats layout.
+// UgStats <-> bytes: the coordinator's fields, then the inherited worker
+// counters. The same two visitors define the field order for both
+// directions, so writer and reader cannot drift apart; the serialized field
+// count guards against loading a checkpoint written by a different stats
+// layout.
 
-template <class F>
-void forEachStatField(UgStats& s, F&& f) {
-    f(s.transferredNodes);
-    f(s.collectedNodes);
-    f(s.totalNodesProcessed);
-    f(s.solutionsFound);
-    f(s.maxActiveSolvers);
-    f(s.firstMaxActiveTime);
-    f(s.rampUpTime);
-    f(s.racingWinnerSetting);
-    f(s.busyUnits);
-    f(s.lpIterations);
-    f(s.lpFactorizations);
-    f(s.basisWarmStarts);
-    f(s.strongBranchProbes);
-    f(s.sepaFlowSolves);
-    f(s.sepaCuts);
-    f(s.lpHyperSolves);
-    f(s.lpDenseSolves);
-    f(s.lpSolveNnzSum);
-    f(s.cutPoolDupRejected);
-    f(s.cutPoolDominatedRejected);
-    f(s.cutPoolDominatedEvicted);
-    f(s.maxCutPoolSize);
-    f(s.shareCutsReported);
-    f(s.shareCutsPooled);
-    f(s.shareCutsSent);
-    f(s.shareCutsReceived);
-    f(s.shareCutsAdmitted);
-    f(s.shareCutsInvalid);
-    f(s.shareCutsDecodeFailures);
-    f(s.shareCutsQuarantined);
-    f(s.redcostCalls);
-    f(s.redcostTightenings);
-    f(s.redcostFixings);
-    f(s.redpropRuns);
-    f(s.redpropArcsFixed);
-    f(s.redpropDaWarmStarts);
-    f(s.redpropLbSkips);
-    f(s.redpropDaCutsFed);
-    f(s.idleRatio);
-    f(s.openNodesAtEnd);
-    f(s.initialOpenNodes);
-    f(s.requeuedNodes);
-    f(s.deadSolvers);
-    f(s.stallInterrupts);
-    f(s.ignoredMessages);
-    f(s.msgsDropped);
-    f(s.msgsDelayed);
-    f(s.msgsDuplicated);
-    f(s.msgsReordered);
-    f(s.msgsSwallowedDead);
-    f(s.msgsCorrupted);
-    f(s.checkpointSaves);
-    f(s.checkpointTornWrites);
-    f(s.checkpointLoadFailures);
-    f(s.checkpointRestarts);
+template <class S, class F>
+void visitStatFields(S& s, F&& f) {
+    forEachCoordinatorField(s, f);
+    cip::forEachCounter(s, [&](auto& v, cip::Kind) { f(v); });
 }
 
 std::uint32_t countStatFields() {
-    UgStats s;
+    const UgStats s;
     std::uint32_t n = 0;
-    forEachStatField(s, [&](auto&) { ++n; });
+    visitStatFields(s, [&](auto&) { ++n; });
     return n;
 }
-
-struct StatWriter {
-    Writer& w;
-    void operator()(long long& v) { w.i64(static_cast<std::int64_t>(v)); }
-    void operator()(int& v) { w.i64(v); }
-    void operator()(double& v) { w.f64(v); }
-};
-
-struct StatReader {
-    Reader& r;
-    bool ok = true;
-    void operator()(long long& v) {
-        std::int64_t x = 0;
-        ok = ok && r.i64(x);
-        v = static_cast<long long>(x);
-    }
-    void operator()(int& v) {
-        std::int64_t x = 0;
-        ok = ok && r.i64(x);
-        v = static_cast<int>(x);
-    }
-    void operator()(double& v) { ok = ok && r.f64(v); }
-};
 
 // ---------------------------------------------------------------------------
 // Section payloads. Writer/parser pairs; every parser must consume its
 // payload exactly (the section loop verifies that).
 
 constexpr std::uint32_t kMagic = 0x50434755u;  // "UGCP"
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 constexpr std::uint32_t kSecPhase = 1;
 constexpr std::uint32_t kSecNodes = 2;
 constexpr std::uint32_t kSecIncumbent = 3;
@@ -324,18 +251,32 @@ bool parseCuts(Reader& r, Checkpoint& cp) {
     return cp.cuts.restoreWire(count, std::move(wire));
 }
 
+// Every stats field travels as an i64, floating-point ones as an f64.
 void writeStats(Writer& w, const Checkpoint& cp) {
     w.u32(countStatFields());
-    UgStats s = cp.stats;  // visitor takes mutable refs
-    forEachStatField(s, StatWriter{w});
+    visitStatFields(cp.stats, [&](const auto& v) {
+        if constexpr (std::is_floating_point_v<std::decay_t<decltype(v)>>)
+            w.f64(v);
+        else
+            w.i64(static_cast<std::int64_t>(v));
+    });
 }
 
 bool parseStats(Reader& r, Checkpoint& cp) {
     std::uint32_t n = 0;
     if (!r.u32(n) || n != countStatFields()) return false;
-    StatReader sr{r};
-    forEachStatField(cp.stats, sr);
-    return sr.ok;
+    bool ok = true;
+    visitStatFields(cp.stats, [&](auto& v) {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_floating_point_v<T>) {
+            ok = ok && r.f64(v);
+        } else {
+            std::int64_t x = 0;
+            ok = ok && r.i64(x);
+            v = static_cast<T>(x);
+        }
+    });
+    return ok;
 }
 
 // ---------------------------------------------------------------------------

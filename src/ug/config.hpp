@@ -6,6 +6,7 @@
 
 #include "cip/model.hpp"
 #include "cip/params.hpp"
+#include "cip/stats.hpp"
 
 namespace ug {
 
@@ -137,56 +138,35 @@ struct UgConfig {
     FaultPlan faults;
 };
 
-struct UgStats {
+/// Shared-cut supports a worker piggybacks on one report, and the base of
+/// the coordinator's adaptive priming batch (scaled by the receiver's admit
+/// rate).
+inline constexpr int kShareMaxCuts = 32;
+
+/// Run statistics: the workers' counters summed over their terminal reports
+/// (the inherited cip::Stats fields, combined by cip::Stats::operator+=; the
+/// last Status of ranks the failure detector wrote off counts too), plus the
+/// coordinator's own fields below.
+struct UgStats : cip::Stats {
     long long transferredNodes = 0;   ///< subproblems assigned to ParaSolvers
     long long collectedNodes = 0;     ///< open nodes pulled back (collect mode)
     long long totalNodesProcessed = 0;///< B&B nodes generated across all solvers
-    long long solutionsFound = 0;
+    long long solutionsReceived = 0;  ///< SolutionFound reports received
     int maxActiveSolvers = 0;
     double firstMaxActiveTime = 0.0;  ///< engine time the max was first reached
     double rampUpTime = -1.0;         ///< first time all solvers were active
     int racingWinnerSetting = -1;
     long long busyUnits = 0;          ///< total busy work units across solvers
 
-    // LP effort aggregated over all solvers' Terminated reports (plus the
-    // last Status of ranks the failure detector wrote off).
-    long long lpIterations = 0;       ///< simplex iterations
-    long long lpFactorizations = 0;   ///< basis (re)factorizations
-    long long basisWarmStarts = 0;    ///< node LPs hot-started from parent
-    long long strongBranchProbes = 0; ///< strong-branching LP probes
-    long long sepaFlowSolves = 0;     ///< separation oracle (max-flow) calls
-    long long sepaCuts = 0;           ///< violated cuts found by separators
-    long long lpHyperSolves = 0;      ///< basis solves via reach kernels
-    long long lpDenseSolves = 0;      ///< basis solves via dense loops
-    long long lpSolveNnzSum = 0;      ///< summed solve-result support
-    long long cutPoolDupRejected = 0;       ///< exact re-finds rejected
-    long long cutPoolDominatedRejected = 0; ///< dominated incoming cuts rejected
-    long long cutPoolDominatedEvicted = 0;  ///< pooled cuts evicted by subsets
-    long long maxCutPoolSize = 0;     ///< largest reported dominance pool
-
-    // Cross-solver cut sharing. LC-side global pool flow (reported supports
-    // in, admitted after dominance merge, attached to assignments out) plus
-    // the receiver-side certification outcomes folded from worker reports.
+    // Cross-solver cut sharing, LC-side global pool flow: reported supports
+    // in, admitted after dominance merge, attached to assignments out. The
+    // receiver-side outcomes are the inherited shareCuts* counters; the
+    // coordinator adds its own decode failures to shareCutsDecodeFailures.
     long long shareCutsReported = 0;  ///< supports piggybacked to the LC
     long long shareCutsPooled = 0;    ///< admitted into the LC global pool
     long long shareCutsSent = 0;      ///< supports attached to assignments
-    long long shareCutsReceived = 0;  ///< supports delivered to base solvers
-    long long shareCutsAdmitted = 0;  ///< certified + violated, entered an LP
-    long long shareCutsInvalid = 0;   ///< failed receiver certification
-    long long shareCutsDecodeFailures = 0;  ///< corrupt bundles (either side)
     long long shareCutsQuarantined = 0;     ///< supports dropped while a
                                             ///< rank's sharing was suspended
-
-    // Tree-level variable fixing aggregated across solvers: built-in LP
-    // reduced-cost fixing and graph-reduction propagation (ReduceEngine).
-    long long redcostCalls = 0;        ///< reduced-cost fixing passes run
-    long long redcostTightenings = 0;  ///< bounds tightened by those passes
-    long long redcostFixings = 0;      ///< domains closed to a point
-    long long redpropRuns = 0;         ///< reduction-engine passes executed
-    long long redpropArcsFixed = 0;    ///< variables fixed by reductions
-    long long redpropDaWarmStarts = 0; ///< dual ascents warm-started
-    long long redpropLbSkips = 0;      ///< cached dual bounds reused
-    long long redpropDaCutsFed = 0;    ///< dual-ascent cuts fed to separation
     double idleRatio = 0.0;           ///< filled in by the engine at the end
     long long openNodesAtEnd = 0;     ///< pool + in-tree nodes on termination
     long long initialOpenNodes = 0;   ///< pool size after a checkpoint restart
@@ -211,6 +191,30 @@ struct UgStats {
     long long checkpointLoadFailures = 0; ///< restart loads that failed
     long long checkpointRestarts = 0;     ///< successful checkpoint restores
 };
+
+/// The coordinator's own UgStats fields, as f(field), in checkpoint order
+/// (the inherited worker counters are listed by cip::forEachCounter).
+template <class S, class F>
+void forEachCoordinatorField(S& s, F&& f) {
+    using U = UgStats;
+    for (long long U::*m :
+         {&U::transferredNodes, &U::collectedNodes, &U::totalNodesProcessed,
+          &U::solutionsReceived, &U::busyUnits, &U::shareCutsReported,
+          &U::shareCutsPooled, &U::shareCutsSent, &U::shareCutsQuarantined,
+          &U::openNodesAtEnd, &U::initialOpenNodes, &U::requeuedNodes,
+          &U::stallInterrupts, &U::ignoredMessages, &U::msgsDropped,
+          &U::msgsDelayed, &U::msgsDuplicated, &U::msgsReordered,
+          &U::msgsSwallowedDead, &U::msgsCorrupted, &U::checkpointSaves,
+          &U::checkpointTornWrites, &U::checkpointLoadFailures,
+          &U::checkpointRestarts})
+        f(s.*m);
+    for (int U::*m :
+         {&U::maxActiveSolvers, &U::racingWinnerSetting, &U::deadSolvers})
+        f(s.*m);
+    for (double U::*m :
+         {&U::firstMaxActiveTime, &U::rampUpTime, &U::idleRatio})
+        f(s.*m);
+}
 
 enum class UgStatus { Optimal, Infeasible, TimeLimit, Failed };
 

@@ -14,7 +14,6 @@ LoadCoordinator::LoadCoordinator(ParaComm& comm, const UgConfig& cfg)
       cfg_(cfg),
       cutPool_(cfg.numSolvers + 1, 512),
       shareCuts_(cfg.baseParams.getBool("stp/share/enable", true)),
-      shareMaxCuts_(cfg.baseParams.getInt("stp/share/maxcutsup", 32)),
       cutoff_(cip::kInf) {
     info_.resize(cfg_.numSolvers + 1);
     stallParams_ = cfg_.stallFallbackParams;
@@ -65,38 +64,34 @@ void LoadCoordinator::mergeSharedCuts(const Message& m) {
 
 void LoadCoordinator::observeShareTelemetry(SolverInfo& si, const LpEffort& e) {
     // Counters are cumulative over the rank's current subproblem; the
-    // lastShared* baselines are reset whenever a new subproblem is assigned,
-    // so each report contributes exactly its delta. A negative delta means
-    // the baseline is stale (reordered or lost traffic) — resynchronize
-    // without feeding the EWMA.
-    const std::int64_t dR = e.sharedReceived - si.lastSharedReceived;
-    const std::int64_t dA = e.sharedAdmitted - si.lastSharedAdmitted;
+    // baseline is the rank's previous report of it (si.lpEffort, all zero
+    // until the first Status of a subproblem), so each report contributes
+    // exactly its delta. A negative delta means the baseline is stale
+    // (reordered or lost traffic) — the caller's si.lpEffort update
+    // resynchronizes it without feeding the EWMA.
+    const LpEffort& last = si.lpEffort;
+    const std::int64_t dR = e.shareCutsReceived - last.shareCutsReceived;
+    const std::int64_t dA = e.shareCutsAdmitted - last.shareCutsAdmitted;
     if (dR > 0 && dA >= 0) {
         const double rate =
             std::min(1.0, static_cast<double>(dA) / static_cast<double>(dR));
         si.admitEwma = 0.7 * si.admitEwma + 0.3 * rate;
     }
-    si.lastSharedReceived = e.sharedReceived;
-    si.lastSharedAdmitted = e.sharedAdmitted;
 
     // Worker-side decode failures implicate the same link as LC-side ones
     // (the priming direction instead of the reporting direction); each failed
-    // bundle counts toward the rank's quarantine streak.
+    // bundle counts toward the rank's quarantine streak. They reach
+    // stats_.shareCutsDecodeFailures through foldReport, not from here.
     const std::int64_t dF =
-        e.sharedDecodeFailures - si.lastSharedDecodeFailures;
-    if (dF > 0) {
-        stats_.shareCutsDecodeFailures += dF;
-        for (std::int64_t i = 0; i < dF; ++i)
-            noteDecodeFailure(si, comm_.now(0));
-    }
-    si.lastSharedDecodeFailures = e.sharedDecodeFailures;
+        e.shareCutsDecodeFailures - last.shareCutsDecodeFailures;
+    for (std::int64_t i = 0; i < dF; ++i) noteDecodeFailure(si, comm_.now(0));
 }
 
 int LoadCoordinator::primingBatchFor(int receiver) const {
     // A rank admitting everything gets up to 2x the configured batch, one
     // rejecting everything ramps down; clamp keeps the bundle useful without
     // letting a hot streak flood the wire.
-    const double scaled = 2.0 * shareMaxCuts_ * info_[receiver].admitEwma;
+    const double scaled = 2.0 * kShareMaxCuts * info_[receiver].admitEwma;
     return std::clamp(static_cast<int>(scaled), 8, 128);
 }
 
@@ -127,38 +122,21 @@ double LoadCoordinator::frontierWeight(const SolverInfo& si) const {
     // the same count of cheap nodes. With no LP data yet (ramp-up, LP-free
     // base solvers) the weight degrades to the plain open-node count.
     double avgIters = 1.0;
-    if (si.lpEffort.iterations > 0 && si.nodesProcessed > 0)
-        avgIters = static_cast<double>(si.lpEffort.iterations) /
+    if (si.lpEffort.lpIterations > 0 && si.nodesProcessed > 0)
+        avgIters = static_cast<double>(si.lpEffort.lpIterations) /
                    static_cast<double>(si.nodesProcessed);
     return static_cast<double>(si.openNodes) * std::max(1.0, avgIters);
 }
 
-void LoadCoordinator::foldLpEffort(const LpEffort& e) {
-    stats_.lpIterations += e.iterations;
-    stats_.lpFactorizations += e.factorizations;
-    stats_.basisWarmStarts += e.basisWarmStarts;
-    stats_.strongBranchProbes += e.strongBranchProbes;
-    stats_.sepaFlowSolves += e.sepaFlowSolves;
-    stats_.sepaCuts += e.sepaCuts;
-    stats_.lpHyperSolves += e.hyperSolves;
-    stats_.lpDenseSolves += e.denseSolves;
-    stats_.lpSolveNnzSum += e.solveNnzSum;
-    stats_.cutPoolDupRejected += e.poolDupRejected;
-    stats_.cutPoolDominatedRejected += e.poolDominatedRejected;
-    stats_.cutPoolDominatedEvicted += e.poolDominatedEvicted;
-    stats_.shareCutsReceived += e.sharedReceived;
-    stats_.shareCutsAdmitted += e.sharedAdmitted;
-    stats_.shareCutsInvalid += e.sharedInvalid;
-    stats_.redcostCalls += e.redcostCalls;
-    stats_.redcostTightenings += e.redcostTightenings;
-    stats_.redcostFixings += e.redcostFixings;
-    stats_.redpropRuns += e.redpropRuns;
-    stats_.redpropArcsFixed += e.redpropArcsFixed;
-    stats_.redpropDaWarmStarts += e.redpropDaWarmStarts;
-    stats_.redpropLbSkips += e.redpropLbSkips;
-    stats_.redpropDaCutsFed += e.redpropDaCutsFed;
-    stats_.maxCutPoolSize = std::max(stats_.maxCutPoolSize,
-                                     static_cast<long long>(e.poolSize));
+void LoadCoordinator::foldReport(SolverInfo& si, std::int64_t nodesProcessed,
+                                 std::int64_t busyCost,
+                                 const LpEffort& report) {
+    stats_.totalNodesProcessed += nodesProcessed;
+    stats_.busyUnits += busyCost;
+    stats_ += report;
+    si.nodesProcessed = 0;
+    si.busyUnits = 0;
+    si.lpEffort = {};
 }
 
 void LoadCoordinator::noteActivity() {
@@ -208,9 +186,6 @@ void LoadCoordinator::start(const cip::SubproblemDesc& root) {
             info_[r].settingId = idx;
             info_[r].assigned = root;
             info_[r].lastHeard = racingStart_;
-            info_[r].lastSharedReceived = 0;
-            info_[r].lastSharedAdmitted = 0;
-            info_[r].lastSharedDecodeFailures = 0;
             info_[r].lastProgress = 0;
             info_[r].lastProgressTime = racingStart_;
             info_[r].stallInterrupted = false;
@@ -258,10 +233,6 @@ void LoadCoordinator::assignNodes() {
         info_[idleRank].openNodes = 0;
         info_[idleRank].assigned = std::move(desc);
         info_[idleRank].lastHeard = comm_.now(0);
-        // The fresh solver's cumulative counters restart at zero.
-        info_[idleRank].lastSharedReceived = 0;
-        info_[idleRank].lastSharedAdmitted = 0;
-        info_[idleRank].lastSharedDecodeFailures = 0;
         info_[idleRank].lastProgress = 0;
         info_[idleRank].lastProgressTime = info_[idleRank].lastHeard;
         info_[idleRank].stallInterrupted = false;
@@ -418,7 +389,7 @@ void LoadCoordinator::handleMessage(const Message& m) {
         // re-derived elsewhere. Solutions are still self-contained
         // certificates, though — adopt those, discard the rest.
         if (m.tag == Tag::SolutionFound) {
-            ++stats_.solutionsFound;
+            ++stats_.solutionsReceived;
             adoptSolution(m.sol, r, si.settingId);
         } else {
             ++stats_.ignoredMessages;
@@ -429,7 +400,7 @@ void LoadCoordinator::handleMessage(const Message& m) {
 
     switch (m.tag) {
         case Tag::SolutionFound: {
-            ++stats_.solutionsFound;
+            ++stats_.solutionsReceived;
             adoptSolution(m.sol, r, si.settingId);
             break;
         }
@@ -456,10 +427,9 @@ void LoadCoordinator::handleMessage(const Message& m) {
             si.lpEffort = m.lpEffort;
             mergeSharedCuts(m);
             // The pool-size gauge peaks mid-subproblem, so track it from
-            // Status reports too (foldLpEffort only sees terminal reports).
-            stats_.maxCutPoolSize =
-                std::max(stats_.maxCutPoolSize,
-                         static_cast<long long>(m.lpEffort.poolSize));
+            // Status reports too (foldReport only sees terminal reports).
+            stats_.cutPoolSize =
+                std::max(stats_.cutPoolSize, m.lpEffort.cutPoolSize);
             if (racingPhase_ && !racingWinnerPicked_ &&
                 m.openNodes >= cfg_.racingOpenNodesLimit)
                 pickRacingWinner();
@@ -503,11 +473,8 @@ void LoadCoordinator::handleMessage(const Message& m) {
             instanceSolvedInRacing_ = true;
             si.active = false;
             si.assigned.reset();
-            stats_.totalNodesProcessed += m.nodesProcessed;
-            stats_.busyUnits += m.busyCost;
             observeShareTelemetry(si, m.lpEffort);
-            foldLpEffort(m.lpEffort);
-            si.lpEffort = {};
+            foldReport(si, m.nodesProcessed, m.busyCost, m.lpEffort);
             si.dualBound = m.dualBound;
             // Stop the remaining racers.
             for (int rr = 1; rr <= cfg_.numSolvers; ++rr) {
@@ -535,11 +502,8 @@ void LoadCoordinator::handleMessage(const Message& m) {
             }
             si.active = false;
             si.collecting = false;
-            stats_.totalNodesProcessed += m.nodesProcessed;
-            stats_.busyUnits += m.busyCost;
             observeShareTelemetry(si, m.lpEffort);
-            foldLpEffort(m.lpEffort);
-            si.lpEffort = {};
+            foldReport(si, m.nodesProcessed, m.busyCost, m.lpEffort);
             adoptSolution(m.sol, r, si.settingId);
             mergeSharedCuts(m);
             if (m.completed) {
@@ -639,12 +603,7 @@ void LoadCoordinator::declareDead(int r, double now, const char* why) {
     ++stats_.deadSolvers;
     // Fold in its last reported progress — the authoritative Terminated
     // report will never come (and is ignored if it does).
-    stats_.totalNodesProcessed += si.nodesProcessed;
-    stats_.busyUnits += si.busyUnits;
-    foldLpEffort(si.lpEffort);
-    si.nodesProcessed = 0;
-    si.busyUnits = 0;
-    si.lpEffort = {};
+    foldReport(si, si.nodesProcessed, si.busyUnits, si.lpEffort);
     si.openNodes = 0;
     if (si.assigned && !racingPhase_ && !stopping_) {
         // The requeue-on-failure invariant: the victim's primitive root
@@ -743,7 +702,7 @@ void LoadCoordinator::onTimer(double now) {
         const double dual = globalDualBound();
         long long lpIt = stats_.lpIterations;
         for (int r = 1; r <= cfg_.numSolvers; ++r)
-            if (info_[r].active) lpIt += info_[r].lpEffort.iterations;
+            if (info_[r].active) lpIt += info_[r].lpEffort.lpIterations;
         std::printf(
             "[LC %8.3fs] active %d/%d pool %zu primal %s dual %g trans %lld "
             "coll %lld lpIt %lld\n",

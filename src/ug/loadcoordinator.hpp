@@ -63,18 +63,15 @@ private:
         long long openNodes = 0;
         long long nodesProcessed = 0;  ///< last reported (running subproblem)
         long long busyUnits = 0;
-        LpEffort lpEffort;  ///< last reported (running subproblem)
+        LpEffort lpEffort;  ///< last reported (running subproblem; all
+                            ///< zero from its end to the next Status)
         int settingId = -1;
         std::optional<cip::SubproblemDesc> assigned;  ///< for checkpointing
 
         // Shared-cut telemetry for adaptive priming-batch sizing: EWMA of
         // the rank's observed admit rate (admitted/received at its local
-        // certification gate) and the cumulative counters at the last
-        // report, so each report contributes its delta exactly once.
+        // certification gate), fed by the deltas between its reports.
         double admitEwma = 0.5;  ///< neutral prior until telemetry arrives
-        std::int64_t lastSharedReceived = 0;
-        std::int64_t lastSharedAdmitted = 0;
-        std::int64_t lastSharedDecodeFailures = 0;
 
         // Stall detection (progress watermarks): the highest workDone the
         // rank has reported for its current subproblem and when it last
@@ -100,8 +97,11 @@ private:
     /// average simplex iterations its nodes cost so far. The unit of "load"
     /// used to pick racing winners and collect-mode suppliers.
     double frontierWeight(const SolverInfo& si) const;
-    /// Fold a final LP-effort report into the aggregate statistics.
-    void foldLpEffort(const LpEffort& e);
+    /// A rank's subproblem ended (Terminated, RacingFinished or declared
+    /// dead): add its final report to the run statistics and clear the
+    /// rank's running-subproblem counters.
+    void foldReport(SolverInfo& si, std::int64_t nodesProcessed,
+                    std::int64_t busyCost, const LpEffort& report);
     /// Adopt `sol` if it improves the incumbent: prune the pool against the
     /// new cutoff and broadcast. Returns true if adopted. `source` and
     /// `settingId` record the incumbent's provenance for checkpointing.
@@ -129,9 +129,10 @@ private:
     /// Attach the relevance-filtered priming bundle to an assignment.
     void attachSharedCuts(Message& m, int receiver);
     /// Fold a worker report's shared-cut counters into the rank's admit-rate
-    /// EWMA (deltas against the previous report of the same subproblem).
+    /// EWMA and quarantine streak (deltas against the previous report of the
+    /// same subproblem).
     void observeShareTelemetry(SolverInfo& si, const LpEffort& e);
-    /// Per-receiver priming batch bound: stp/share/maxcutsup scaled by the
+    /// Per-receiver priming batch bound: kShareMaxCuts scaled by the
     /// receiver's admit-rate EWMA, clamped to [8, 128].
     int primingBatchFor(int receiver) const;
     void checkDone();
@@ -148,7 +149,6 @@ private:
     std::vector<cip::SubproblemDesc> pool_;
     GlobalCutPool cutPool_;  ///< cross-solver shared cut supports (512 slots)
     bool shareCuts_ = true;  ///< stp/share/enable (from cfg.baseParams)
-    int shareMaxCuts_ = 32;  ///< stp/share/maxcutsup: per-message batch bound
     std::vector<SolverInfo> info_;  ///< index 1..numSolvers (0 unused)
     cip::Solution best_;
     double cutoff_;  ///< objective of best_, or +inf

@@ -10,6 +10,7 @@
 #include "cip/model.hpp"
 #include "cip/node.hpp"
 #include "cip/params.hpp"
+#include "cip/stats.hpp"
 #include "ug/cutbundle.hpp"
 
 namespace ug {
@@ -39,53 +40,14 @@ enum class Tag {
 
 const char* toString(Tag t);
 
-/// Per-solver LP effort counters, reported with Status and Terminated.
-/// They quantify how *hard* the solver's nodes are — a frontier whose nodes
-/// each burn thousands of simplex iterations is heavier than one with the
-/// same node count and trivial LPs — and the LoadCoordinator weighs its
-/// racing-winner pick and collect-mode targeting by them. Counters are
-/// cumulative over the solver's current subproblem.
-struct LpEffort {
-    std::int64_t iterations = 0;        ///< simplex iterations
-    std::int64_t factorizations = 0;    ///< basis (re)factorizations
-    std::int64_t basisWarmStarts = 0;   ///< node LPs hot-started from parent
-    std::int64_t strongBranchProbes = 0;///< strong-branching LP probes
-    std::int64_t sepaFlowSolves = 0;    ///< separation oracle (max-flow) calls
-    std::int64_t sepaCuts = 0;          ///< violated cuts found by separators
-
-    // Basis-solve sparsity split (FTRAN/BTRAN answered by the hyper-sparse
-    // reach kernels vs the dense fallback loops) and summed result support;
-    // mean result nnz = solveNnzSum / (hyperSolves + denseSolves).
-    std::int64_t hyperSolves = 0;       ///< reach-kernel basis solves
-    std::int64_t denseSolves = 0;       ///< dense-loop basis solves
-    std::int64_t solveNnzSum = 0;       ///< summed solve-result support
-
-    // Dominance-filtered cut-pool counters (how lean the worker keeps its
-    // LP): rejected/evicted cuts and the current pool size.
-    std::int64_t poolDupRejected = 0;        ///< exact re-finds rejected
-    std::int64_t poolDominatedRejected = 0;  ///< weaker incoming cuts rejected
-    std::int64_t poolDominatedEvicted = 0;   ///< pooled cuts evicted by subsets
-    std::int64_t poolSize = 0;               ///< current dominance-pool size
-
-    // Cross-solver cut sharing, receiver side: supports delivered with
-    // assignments, and their fate at local certification.
-    std::int64_t sharedReceived = 0;  ///< shared supports delivered to solver
-    std::int64_t sharedAdmitted = 0;  ///< certified + violated, entered the LP
-    std::int64_t sharedInvalid = 0;   ///< failed certification, dropped
-    std::int64_t sharedDecodeFailures = 0;  ///< priming bundles that failed
-                                            ///< to decode (corrupt framing)
-
-    // Tree-level variable fixing: the built-in LP reduced-cost fixing pass
-    // and the graph-reduction propagation (e.g. the Steiner ReduceEngine).
-    std::int64_t redcostCalls = 0;        ///< reduced-cost fixing passes run
-    std::int64_t redcostTightenings = 0;  ///< bounds tightened by those passes
-    std::int64_t redcostFixings = 0;      ///< domains closed to a point
-    std::int64_t redpropRuns = 0;         ///< reduction-engine passes executed
-    std::int64_t redpropArcsFixed = 0;    ///< variables fixed by reductions
-    std::int64_t redpropDaWarmStarts = 0; ///< dual ascents warm-started
-    std::int64_t redpropLbSkips = 0;      ///< cached dual bounds reused
-    std::int64_t redpropDaCutsFed = 0;    ///< dual-ascent cuts fed to sepa
-};
+/// Per-solver effort counters, reported with Status, Terminated and
+/// RacingFinished: the base solver's whole cip::Stats record, cumulative over
+/// its current subproblem. They quantify how *hard* the solver's nodes are —
+/// a frontier whose nodes each burn thousands of simplex iterations is
+/// heavier than one with the same node count and trivial LPs — and the
+/// LoadCoordinator weighs its racing-winner pick and collect-mode targeting
+/// by them, and sums terminal reports into UgStats.
+using LpEffort = cip::Stats;
 
 /// One message. Fields are used depending on the tag; unused fields stay at
 /// their defaults. Copy semantics everywhere: a sent message shares no state
@@ -119,7 +81,7 @@ struct Message {
     CutBundle cuts;                  ///< piggybacked shared-cut supports:
                                      ///< worker->LC on Status / Terminated /
                                      ///< RacingFinished (newly admitted pool
-                                     ///< cuts, bounded by stp/share/maxcutsup);
+                                     ///< cuts, bounded by kShareMaxCuts);
                                      ///< LC->worker on Subproblem /
                                      ///< RacingSubproblem (relevance-filtered
                                      ///< priming bundle from the global pool)

@@ -38,8 +38,7 @@ ParaSolver::ParaSolver(int rank, ParaComm& comm, BaseSolverFactory& factory,
       comm_(comm),
       factory_(factory),
       cfg_(cfg),
-      shareCuts_(cfg.baseParams.getBool("stp/share/enable", true)),
-      shareMaxCuts_(cfg.baseParams.getInt("stp/share/maxcutsup", 32)) {}
+      shareCuts_(cfg.baseParams.getBool("stp/share/enable", true)) {}
 
 bool ParaSolver::hasWork() const {
     return active_ && solver_ && !solver_->finished() && !terminated_;
@@ -100,7 +99,7 @@ void ParaSolver::finishSubproblem(BaseStatus status) {
     out.busyCost = busyUnits_;
     if (solver_) out.lpEffort = solver_->lpEffort();
     if (solver_ && shareCuts_)
-        out.cuts = solver_->takeShareableCuts(shareMaxCuts_);
+        out.cuts = solver_->takeShareableCuts(kShareMaxCuts);
     out.settingId = settingId_;
     out.completed =
         status == BaseStatus::Optimal || status == BaseStatus::Infeasible;
@@ -132,8 +131,8 @@ void ParaSolver::sendStatus() {
     out.lpEffort = solver_->lpEffort();
     // Monotone progress watermark for the coordinator's stall detector: a
     // healthy solver strictly advances it, a looping one does not.
-    out.workDone = out.lpEffort.iterations + out.nodesProcessed;
-    if (shareCuts_) out.cuts = solver_->takeShareableCuts(shareMaxCuts_);
+    out.workDone = out.lpEffort.lpIterations + out.nodesProcessed;
+    if (shareCuts_) out.cuts = solver_->takeShareableCuts(kShareMaxCuts);
     out.settingId = settingId_;
     lastStatusTime_ = comm_.now(rank_);
     comm_.send(rank_, 0, out);

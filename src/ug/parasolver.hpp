@@ -62,7 +62,6 @@ private:
                            ///< StartCollecting; 0 = may ship the last node)
     int settingId_ = -1;
     bool shareCuts_ = true;  ///< stp/share/enable (from cfg.baseParams)
-    int shareMaxCuts_ = 32;  ///< stp/share/maxcutsup: per-message batch bound
     int stepsSinceStatus_ = 0;
     double lastStatusTime_ = 0.0;  ///< engine time of the last Status sent;
                                    ///< drives the keepalive that stops a

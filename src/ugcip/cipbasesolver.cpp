@@ -40,36 +40,7 @@ std::int64_t CipBaseSolver::nodesProcessed() const {
     return solver_.stats().nodesProcessed;
 }
 
-ug::LpEffort CipBaseSolver::lpEffort() const {
-    const cip::Stats& s = solver_.stats();
-    ug::LpEffort e;
-    e.iterations = s.lpIterations;
-    e.factorizations = s.lpFactorizations;
-    e.basisWarmStarts = s.basisWarmStarts;
-    e.strongBranchProbes = s.strongBranchProbes;
-    e.sepaFlowSolves = s.sepaFlowSolves;
-    e.sepaCuts = s.sepaCutsFound;
-    e.hyperSolves = s.lpHyperSolves;
-    e.denseSolves = s.lpDenseSolves;
-    e.solveNnzSum = s.lpSolveNnzSum;
-    e.poolDupRejected = s.cutDupRejected;
-    e.poolDominatedRejected = s.cutDominatedRejected;
-    e.poolDominatedEvicted = s.cutDominatedEvicted;
-    e.poolSize = s.cutPoolSize;
-    e.sharedReceived = s.sharedCutsReceived;
-    e.sharedAdmitted = s.sharedCutsAdmitted;
-    e.sharedInvalid = s.sharedCutsInvalid;
-    e.sharedDecodeFailures = s.sharedCutsDecodeFailures;
-    e.redcostCalls = s.redcostCalls;
-    e.redcostTightenings = s.redcostTightenings;
-    e.redcostFixings = s.redcostFixings;
-    e.redpropRuns = s.redpropRuns;
-    e.redpropArcsFixed = s.redpropArcsFixed;
-    e.redpropDaWarmStarts = s.redpropDaWarmStarts;
-    e.redpropLbSkips = s.redpropLbSkips;
-    e.redpropDaCutsFed = s.redpropDaCutsFed;
-    return e;
-}
+ug::LpEffort CipBaseSolver::lpEffort() const { return solver_.stats(); }
 
 ug::CutBundle CipBaseSolver::takeShareableCuts(int maxCuts) {
     if (!plugins_) return {};

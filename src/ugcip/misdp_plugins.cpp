@@ -53,7 +53,7 @@ misdp::MisdpResult toMisdpResult(const ug::UgResult& res) {
         out.objective = -res.best.obj;
         out.y = res.best.x;
     }
-    out.stats.nodesProcessed = res.stats.totalNodesProcessed;
+    out.stats = res.stats;
     return out;
 }
 

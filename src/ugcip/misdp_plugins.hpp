@@ -27,7 +27,8 @@ private:
 ug::UgResult solveMisdpParallel(const misdp::MisdpProblem& prob,
                                 ug::UgConfig cfg, bool simulated);
 
-/// Interpret a UG result in max-sense MISDP terms.
+/// Interpret a UG result in max-sense MISDP terms (stats: the workers'
+/// cip::Stats summed over the run).
 misdp::MisdpResult toMisdpResult(const ug::UgResult& res);
 
 }  // namespace ugcip

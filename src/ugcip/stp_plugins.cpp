@@ -32,7 +32,6 @@ void SteinerUserPlugins::installPlugins(cip::Solver& solver) {
 
 ug::CutBundle SteinerUserPlugins::collectShareableCuts(cip::Solver& solver,
                                                        int maxCuts) {
-    if (!solver.params().getBool("stp/share/enable", true)) return {};
     auto* ch = dynamic_cast<steiner::StpConshdlr*>(
         solver.findConstraintHandler(steiner::kStpPluginName));
     if (!ch) return {};
@@ -42,7 +41,6 @@ ug::CutBundle SteinerUserPlugins::collectShareableCuts(cip::Solver& solver,
 void SteinerUserPlugins::primeSharedCuts(cip::Solver& solver,
                                          const ug::CutBundle& cuts) {
     if (cuts.empty()) return;
-    if (!solver.params().getBool("stp/share/enable", true)) return;
     auto* ch = dynamic_cast<steiner::StpConshdlr*>(
         solver.findConstraintHandler(steiner::kStpPluginName));
     if (ch) ch->primeSharedCuts(solver, cuts);
@@ -84,9 +82,7 @@ steiner::SteinerResult toSteinerResult(const steiner::SteinerSolver& solver,
         case ug::UgStatus::TimeLimit: st = cip::Status::Interrupted; break;
         case ug::UgStatus::Failed: st = cip::Status::Unsolved; break;
     }
-    cip::Stats stats;
-    stats.nodesProcessed = res.stats.totalNodesProcessed;
-    return solver.makeResult(st, res.best, res.dualBound, stats);
+    return solver.makeResult(st, res.best, res.dualBound, res.stats);
 }
 
 }  // namespace ugcip

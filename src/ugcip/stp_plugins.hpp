@@ -31,7 +31,8 @@ private:
 ug::UgResult solveSteinerParallel(const steiner::SapInstance& inst,
                                   ug::UgConfig cfg, bool simulated);
 
-/// Convert a UG result back into Steiner terms via the owning solver.
+/// Convert a UG result back into Steiner terms via the owning solver; the
+/// result's stats are the workers' cip::Stats summed over the run.
 steiner::SteinerResult toSteinerResult(const steiner::SteinerSolver& solver,
                                        const ug::UgResult& res);
 

@@ -34,6 +34,7 @@ public:
     /// from `solver` for piggybacking on Status/Terminated messages;
     /// primeSharedCuts offers a coordinator bundle to the solver's plugins,
     /// which must certify each support before it may become an LP row.
+    /// ParaSolver calls them only while "stp/share/enable" is on.
     /// Applications without a shareable cut family keep the no-ops.
     virtual ug::CutBundle collectShareableCuts(cip::Solver& solver,
                                                int maxCuts) {

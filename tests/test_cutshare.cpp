@@ -331,11 +331,11 @@ TEST(CutShare, InvalidSharedCutsAreRejectedAndNeverEnterTheLp) {
     ASSERT_EQ(solver.solve(), cip::Status::Optimal);
 
     const cip::Stats& s = solver.stats();
-    EXPECT_EQ(s.sharedCutsReceived, nBad);
+    EXPECT_EQ(s.shareCutsReceived, nBad);
     // Certification is the only gate to the LP: nothing invalid may pass.
-    EXPECT_EQ(s.sharedCutsAdmitted, 0);
-    EXPECT_GT(s.sharedCutsInvalid, 0);
-    EXPECT_LE(s.sharedCutsInvalid, nBad);
+    EXPECT_EQ(s.shareCutsAdmitted, 0);
+    EXPECT_GT(s.shareCutsInvalid, 0);
+    EXPECT_LE(s.shareCutsInvalid, nBad);
     // And the poison had no effect on the optimum.
     EXPECT_NEAR(solver.incumbent().obj, ref.incumbent().obj, 1e-9);
 }
@@ -366,9 +366,9 @@ TEST(CutShare, HarvestedCutsPrimeAFreshSolverAndPassCertification) {
     plugins.primeSharedCuts(b, bundle);
     ASSERT_EQ(b.solve(), cip::Status::Optimal);
     const cip::Stats& s = b.stats();
-    EXPECT_EQ(s.sharedCutsReceived, bundle.count());
-    EXPECT_EQ(s.sharedCutsInvalid, 0);
-    EXPECT_GT(s.sharedCutsAdmitted, 0);
+    EXPECT_EQ(s.shareCutsReceived, bundle.count());
+    EXPECT_EQ(s.shareCutsInvalid, 0);
+    EXPECT_GT(s.shareCutsAdmitted, 0);
     EXPECT_NEAR(b.incumbent().obj, a.incumbent().obj, 1e-9);
 }
 
@@ -414,7 +414,7 @@ ug::Message statusMsg(int src, std::int64_t openNodes,
     m.dualBound = -10.0;
     m.openNodes = openNodes;
     m.nodesProcessed = nodesProcessed;
-    m.lpEffort.iterations = lpIterations;
+    m.lpEffort.lpIterations = lpIterations;
     return m;
 }
 

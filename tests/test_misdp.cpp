@@ -213,6 +213,7 @@ TEST(UgMisdp, ParallelHybridMatchesSequential) {
     ASSERT_EQ(res.status, ug::UgStatus::Optimal);
     misdp::MisdpResult pr = ugcip::toMisdpResult(res);
     EXPECT_NEAR(pr.objective, sr.objective, 1e-3);
+    EXPECT_EQ(pr.stats.nodesProcessed, res.stats.totalNodesProcessed);
 }
 
 TEST(UgMisdp, RacingSettingsAlternateLpAndSdp) {

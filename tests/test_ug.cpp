@@ -302,6 +302,10 @@ TEST(UgSteiner, SimulatedParallelMatchesOracle) {
     steiner::SteinerResult sr = ugcip::toSteinerResult(seq, res);
     EXPECT_NEAR(sr.cost, *opt, 1e-6);
     EXPECT_TRUE(g.spansTerminals(sr.originalEdges));
+    // The result carries the workers' summed counters, not only the node
+    // count.
+    EXPECT_EQ(sr.stats.nodesProcessed, res.stats.totalNodesProcessed);
+    EXPECT_GT(sr.stats.sepaFlowSolves, 0);
 }
 
 TEST(UgSteiner, ThreadedParallelMatchesOracle) {

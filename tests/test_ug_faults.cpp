@@ -630,8 +630,8 @@ TEST(UgQuarantine, RepeatedCorruptBundlesSuspendSharingWithBackoff) {
 
 TEST(UgQuarantine, WorkerReportedDecodeFailuresCountTowardQuarantine) {
     // Corruption on the LC->worker direction surfaces as the worker's
-    // sharedDecodeFailures counter; the coordinator folds the delta into the
-    // same per-rank quarantine as its own decode failures.
+    // shareCutsDecodeFailures counter; the coordinator folds the delta into
+    // the same per-rank quarantine as its own decode failures.
     ug::UgConfig cfg;  // default streak 3, backoff 0.25
     cfg.numSolvers = 2;
     ClockComm comm(3);
@@ -640,15 +640,23 @@ TEST(UgQuarantine, WorkerReportedDecodeFailuresCountTowardQuarantine) {
 
     comm.t = 0.1;
     ug::Message m = stallStatus(1, 0);
-    m.lpEffort.sharedDecodeFailures = 3;
+    m.lpEffort.shareCutsDecodeFailures = 3;
     lc.handleMessage(m);
-    EXPECT_EQ(lc.stats().shareCutsDecodeFailures, 3);
 
     // Quarantined until 0.1 + 0.25 = 0.35: a valid bundle inside is dropped.
     comm.t = 0.2;
     ug::Message v = validCutStatus(1, {4, 6});
-    v.lpEffort.sharedDecodeFailures = 3;  // unchanged cumulative counter
+    v.lpEffort.shareCutsDecodeFailures = 3;  // unchanged cumulative counter
     lc.handleMessage(v);
     EXPECT_EQ(lc.stats().shareCutsQuarantined, 1);
     EXPECT_EQ(lc.stats().shareCutsPooled, 0);
+
+    // The run total sums terminal reports: worker-side failures reach it
+    // through the fold of the rank's Terminated report.
+    ug::Message t;
+    t.tag = ug::Tag::Terminated;
+    t.src = 1;
+    t.lpEffort.shareCutsDecodeFailures = 3;
+    lc.handleMessage(t);
+    EXPECT_EQ(lc.stats().shareCutsDecodeFailures, 3);
 }

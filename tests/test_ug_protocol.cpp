@@ -74,14 +74,14 @@ public:
         // factorization per processed node, so aggregated totals follow from
         // the mock's work conservation.
         ug::LpEffort e;
-        e.iterations = processed_ * 5;
-        e.factorizations = processed_;
+        e.lpIterations = processed_ * 5;
+        e.lpFactorizations = processed_;
         e.basisWarmStarts = processed_;
         // Synthetic cut-pool counters: two duplicate rejections per node and
         // a constant pool size, so the folded totals are exact.
-        e.poolDupRejected = processed_ * 2;
-        e.poolDominatedRejected = processed_;
-        e.poolSize = 7;
+        e.cutDupRejected = processed_ * 2;
+        e.cutDominatedRejected = processed_;
+        e.cutPoolSize = 7;
         return e;
     }
     std::optional<cip::SubproblemDesc> extractOpenNode() override {
@@ -163,7 +163,7 @@ TEST(UgProtocol, SolutionIsBroadcastAndAdopted) {
     ASSERT_TRUE(res.best.valid());
     // The best solution is the root-tree solver's.
     EXPECT_NEAR(res.best.obj, -50.0, 1e-12);
-    EXPECT_GE(res.stats.solutionsFound, 1);
+    EXPECT_GE(res.stats.solutionsReceived, 1);
 }
 
 TEST(UgProtocol, BusyAccountingMatchesWorkDone) {
@@ -199,11 +199,11 @@ TEST(UgProtocol, LpEffortIsAggregatedIntoRunStats) {
     EXPECT_EQ(res.stats.basisWarmStarts, res.stats.totalNodesProcessed);
     EXPECT_EQ(res.stats.strongBranchProbes, 0);
     // Cut-pool counters ride the same LpEffort reports.
-    EXPECT_EQ(res.stats.cutPoolDupRejected,
+    EXPECT_EQ(res.stats.cutDupRejected,
               res.stats.totalNodesProcessed * 2);
-    EXPECT_EQ(res.stats.cutPoolDominatedRejected,
+    EXPECT_EQ(res.stats.cutDominatedRejected,
               res.stats.totalNodesProcessed);
-    EXPECT_EQ(res.stats.maxCutPoolSize, 7);
+    EXPECT_EQ(res.stats.cutPoolSize, 7);
 }
 
 TEST(UgProtocol, RacingPicksWinnerAndRecordsSetting) {
@@ -416,7 +416,7 @@ ug::Message statusReport(int src, std::int64_t openNodes,
     m.dualBound = -10.0;
     m.openNodes = openNodes;
     m.nodesProcessed = nodesProcessed;
-    m.lpEffort.iterations = lpIterations;
+    m.lpEffort.lpIterations = lpIterations;
     return m;
 }
 

@@ -5,12 +5,14 @@
 // kill -> restart -> kill -> restart sequences under active fault plans.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -79,6 +81,21 @@ bool fileExists(const std::string& path) {
     return false;
 }
 
+/// Every UgStats field: the coordinator's own, then the inherited counters.
+template <class S, class F>
+void forEveryStat(S& s, F&& f) {
+    ug::forEachCoordinatorField(s, f);
+    cip::forEachCounter(s, [&](auto& v, cip::Kind) { f(v); });
+}
+
+std::vector<double> statValues(const ug::UgStats& s) {
+    std::vector<double> out;
+    forEveryStat(s, [&](const auto& v) {
+        out.push_back(static_cast<double>(v));
+    });
+    return out;
+}
+
 /// A checkpoint exercising every section with seed-dependent content.
 ug::Checkpoint randomCheckpoint(std::mt19937& rng) {
     std::uniform_int_distribution<int> small(0, 4);
@@ -116,14 +133,13 @@ ug::Checkpoint randomCheckpoint(std::mt19937& rng) {
         EXPECT_TRUE(cp.cuts.append(vars, 1 + small(rng) % 2));
     }
     cp.hasStats = true;
-    cp.stats.transferredNodes = small(rng) * 7;
-    cp.stats.totalNodesProcessed = small(rng) * 31;
-    cp.stats.lpIterations = small(rng) * 1001;
-    cp.stats.shareCutsPooled = small(rng) * 13;
-    cp.stats.requeuedNodes = small(rng);
-    cp.stats.stallInterrupts = small(rng);
-    cp.stats.checkpointSaves = 1 + small(rng);
-    cp.stats.idleRatio = 0.25;
+    // A distinct value per field, so a field written or read out of order
+    // cannot round-trip unnoticed (floating-point fields keep a fraction).
+    const double base = 1000.0 * small(rng) + 0.25;
+    int field = 0;
+    forEveryStat(cp.stats, [&](auto& v) {
+        v = static_cast<std::remove_reference_t<decltype(v)>>(base + ++field);
+    });
     cp.racingDone = small(rng) % 2 == 0;
     return cp;
 }
@@ -164,14 +180,7 @@ void expectEqual(const ug::Checkpoint& a, const ug::Checkpoint& b) {
     EXPECT_EQ(a.cuts.wire(), b.cuts.wire());
     ASSERT_EQ(a.hasStats, b.hasStats);
     if (a.hasStats) {
-        EXPECT_EQ(a.stats.transferredNodes, b.stats.transferredNodes);
-        EXPECT_EQ(a.stats.totalNodesProcessed, b.stats.totalNodesProcessed);
-        EXPECT_EQ(a.stats.lpIterations, b.stats.lpIterations);
-        EXPECT_EQ(a.stats.shareCutsPooled, b.stats.shareCutsPooled);
-        EXPECT_EQ(a.stats.requeuedNodes, b.stats.requeuedNodes);
-        EXPECT_EQ(a.stats.stallInterrupts, b.stats.stallInterrupts);
-        EXPECT_EQ(a.stats.checkpointSaves, b.stats.checkpointSaves);
-        EXPECT_DOUBLE_EQ(a.stats.idleRatio, b.stats.idleRatio);
+        EXPECT_EQ(statValues(a.stats), statValues(b.stats));
     }
     EXPECT_EQ(a.racingDone, b.racingDone);
 }
@@ -189,6 +198,55 @@ TEST(CheckpointDurability, RandomizedRoundTripPreservesEverySection) {
         ASSERT_TRUE(loaded.has_value()) << "seed " << seed;
         expectEqual(cp, *loaded);
     }
+    ug::removeCheckpointFiles(path);
+}
+
+TEST(CheckpointDurability, StatsFieldListsCoverEveryField) {
+    // The STATS section holds exactly what the two field lists visit; a
+    // field missing from both would silently not survive a restart. Ordered
+    // by address, the visited fields must tile UgStats with nothing but
+    // alignment padding between them (each is a naturally aligned scalar).
+    const ug::UgStats s;
+    const auto* base = reinterpret_cast<const char*>(&s);
+    std::vector<std::pair<std::size_t, std::size_t>> fields;  // offset, size
+    forEveryStat(s, [&](const auto& v) {
+        fields.emplace_back(
+            static_cast<std::size_t>(reinterpret_cast<const char*>(&v) - base),
+            sizeof v);
+    });
+    std::sort(fields.begin(), fields.end());
+    const auto alignUp = [](std::size_t n, std::size_t a) {
+        return (n + a - 1) / a * a;
+    };
+    std::size_t end = 0;
+    for (const auto& [offset, size] : fields) {
+        EXPECT_EQ(offset, alignUp(end, size))
+            << "unlisted or twice-listed field near offset " << offset;
+        end = offset + size;
+    }
+    EXPECT_EQ(alignUp(end, alignof(ug::UgStats)), sizeof(ug::UgStats));
+}
+
+TEST(CheckpointDurability, OlderFormatVersionIsRejected) {
+    // Images of format version 2 (before UgStats carried the whole worker
+    // counter record) are refused, not misread.
+    const std::string path = "/tmp/ugtest_cp_version";
+    ug::removeCheckpointFiles(path);
+    std::mt19937 rng(17);
+    ASSERT_TRUE(ug::saveCheckpoint(path, randomCheckpoint(rng)));
+    for (const std::string& slot :
+         {ug::checkpointSlotA(path), ug::checkpointSlotB(path)}) {
+        FILE* f = std::fopen(slot.c_str(), "r+b");
+        if (!f) continue;
+        const std::uint32_t v2 = 2;  // the version field follows the magic
+        ASSERT_EQ(std::fseek(f, 4, SEEK_SET), 0);
+        ASSERT_EQ(std::fwrite(&v2, sizeof v2, 1, f), 1u);
+        std::fclose(f);
+    }
+    ug::CheckpointLoadReport rep;
+    EXPECT_FALSE(ug::loadCheckpoint(path, &rep).has_value());
+    EXPECT_NE(rep.error.find("unsupported version"), std::string::npos)
+        << rep.error;
     ug::removeCheckpointFiles(path);
 }
 

@@ -10,6 +10,7 @@
 
 #include "steiner/instances.hpp"
 #include "steiner/variants.hpp"
+#include "ugcip/stp_plugins.hpp"
 
 using namespace steiner;
 
@@ -210,8 +211,8 @@ void expectSolveMatchesBruteForce(const DegreeConstrainedProblem& prob,
     const double best = degreeConstrainedBruteForce(prob);
     SapInstance inst = buildDegreeConstrainedSap(prob);
     SteinerResult res = solveVariant(inst);
-    // Gadget graphs run without the reduction package (solveVariant turns
-    // it off): no pass may run, no arc may be fixed by it.
+    // Gadget graphs run without the reduction package (the builder marks
+    // the instance): no pass may run, no arc may be fixed by it.
     EXPECT_EQ(res.stats.redpropRuns, 0) << label;
     EXPECT_EQ(res.stats.redpropArcsFixed, 0) << label;
     if (best >= 1e99) {
@@ -258,9 +259,24 @@ TEST_P(DegreeConstrained, MatchesBruteForce) {
         else
             prob.maxDegree[v] = 2;
     }
-    expectSolveMatchesBruteForce(prob, "regression seed=" +
-                                           std::to_string(r.seed) +
-                                           " n=" + std::to_string(r.n));
+    const std::string label = "regression seed=" + std::to_string(r.seed) +
+                              " n=" + std::to_string(r.n);
+    expectSolveMatchesBruteForce(prob, label);
+    // The same instance solved in parallel: the reduction package stays off
+    // there too, without any parameter from the caller.
+    const double best = degreeConstrainedBruteForce(prob);
+    const SapInstance inst = buildDegreeConstrainedSap(prob);
+    for (int ranks : {1, 4}) {
+        ug::UgConfig cfg;
+        cfg.numSolvers = ranks;
+        const ug::UgResult res =
+            ugcip::solveSteinerParallel(inst, cfg, /*simulated=*/true);
+        ASSERT_EQ(res.status, ug::UgStatus::Optimal)
+            << label << " ranks=" << ranks << ": "
+            << ug::toString(res.status);
+        EXPECT_NEAR(res.best.obj, best, 1e-5) << label << " ranks=" << ranks;
+        EXPECT_EQ(res.stats.redpropRuns, 0) << label << " ranks=" << ranks;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DegreeConstrained,
