@@ -24,10 +24,10 @@ ugcop_add_bench(ablation_ug_rampup)
 
 # Glue-size gate for the paper's "< 200 lines of glue" claim (section 2.3):
 # fails when a glue file grows past its cloc-style count recorded here
-# (stp_plugins.cpp 75 LoC, misdp_plugins.cpp 50 LoC). Shrinking a file is
+# (stp_plugins.cpp 55 LoC, misdp_plugins.cpp 50 LoC). Shrinking a file is
 # fine; lower its cap in the same change.
 add_test(NAME glue-loc
-         COMMAND glue_loc_report stp_plugins.cpp=75 misdp_plugins.cpp=50)
+         COMMAND glue_loc_report stp_plugins.cpp=55 misdp_plugins.cpp=50)
 set_tests_properties(glue-loc PROPERTIES LABELS glue)
 
 add_executable(micro_kernels ${CMAKE_SOURCE_DIR}/bench/micro_kernels.cpp)

@@ -24,6 +24,60 @@ VertexBranchState parseVertexBranches(
     return st;
 }
 
+StpConshdlr* findStpConshdlr(cip::Solver& solver) {
+    return dynamic_cast<StpConshdlr*>(
+        solver.findConstraintHandler(kStpPluginName));
+}
+
+namespace {
+
+/// Breadth-first search from the root over the arcs `open(a)` admits
+/// (a = 2e + dir, tail -> head); true iff it reaches every terminal.
+template <class Open>
+bool reachesAllTerminals(const SapInstance& inst, Open open) {
+    const Graph& g = inst.graph;
+    std::vector<bool> seen(g.numVertices(), false);
+    std::queue<int> q;
+    q.push(inst.root);
+    seen[inst.root] = true;
+    while (!q.empty()) {
+        const int v = q.front();
+        q.pop();
+        for (int e : g.incident(v)) {
+            if (g.edge(e).deleted) continue;
+            const int a = (g.edge(e).u == v) ? 2 * e : 2 * e + 1;  // v -> w
+            if (!open(a)) continue;
+            const int w = g.edge(e).other(v);
+            if (!seen[w]) {
+                seen[w] = true;
+                q.push(w);
+            }
+        }
+    }
+    for (int t : g.terminals())
+        if (!seen[t]) return false;
+    return true;
+}
+
+/// The subproblem's graph: edges the local bounds forbid are deleted and
+/// branching-required vertices become terminals (deleteEdge never changes
+/// vertexAlive, so the two steps commute).
+Graph nodeGraph(const cip::Solver& solver, const SapInstance& inst) {
+    Graph h = inst.graph;
+    const auto& ub = solver.localUb();
+    for (int e = 0; e < h.numEdges(); ++e)
+        if (!h.edge(e).deleted && !inst.edgeUsable(ub, e)) h.deleteEdge(e);
+    const cip::Node* node = solver.currentNode();
+    const VertexBranchState st = parseVertexBranches(
+        inst, node ? node->desc.customBranches
+                   : solver.rootSubproblem().customBranches);
+    for (int v = 0; v < h.numVertices(); ++v)
+        if (st.flag[v] == 1 && h.vertexAlive(v)) h.setTerminal(v, true);
+    return h;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // StpConshdlr
 // ---------------------------------------------------------------------------
@@ -128,38 +182,53 @@ bool StpConshdlr::certifySupport(const std::vector<int>& vars) {
     }
     // "sum of support arcs >= 1" is valid iff every feasible arborescence
     // uses a support arc, iff removing the support disconnects some terminal
-    // from the root. BFS over the remaining modeled arcs (mirrors check()).
-    std::vector<bool> seen(g.numVertices(), false);
-    std::queue<int> q;
-    q.push(inst_.root);
-    seen[inst_.root] = true;
-    while (!q.empty()) {
-        const int v = q.front();
-        q.pop();
-        for (int e : g.incident(v)) {
-            if (g.edge(e).deleted) continue;
-            const int a = (g.edge(e).u == v) ? 2 * e : 2 * e + 1;  // v -> w
-            if (inst_.arcVar[static_cast<std::size_t>(a)] < 0 ||
-                arcMask_[static_cast<std::size_t>(a)])
-                continue;
-            const int w = g.edge(e).other(v);
-            if (!seen[w]) {
-                seen[w] = true;
-                q.push(w);
+    // from the root.
+    return !reachesAllTerminals(inst_, [&](int a) {
+        return inst_.arcVar[static_cast<std::size_t>(a)] >= 0 &&
+               !arcMask_[static_cast<std::size_t>(a)];
+    });
+}
+
+bool StpConshdlr::admitCut(cip::Solver& solver, const std::vector<int>& vars,
+                           bool dominance) {
+    int poolId = -1;
+    if (dominance) {
+        // Offer the support to the solver-lifetime pool; only cuts that
+        // survive duplicate + subset-dominance filtering reach the LP, and
+        // pooled supersets of the new cut are retired.
+        const CutPool::Verdict v = pool_.offer(vars, &poolId, &evictScratch_);
+        if (v == CutPool::Verdict::Duplicate ||
+            v == CutPool::Verdict::Dominated)
+            return false;  // an at-least-as-strong row already exists
+        if (v == CutPool::Verdict::Untracked) poolId = -1;
+        if (!evictScratch_.empty()) {
+            retireScratch_.clear();
+            for (int pid : evictScratch_) {
+                auto it = tokenOf_.find(pid);
+                if (it == tokenOf_.end()) continue;
+                retireScratch_.push_back(it->second);
+                poolIdOf_.erase(it->second);
+                tokenOf_.erase(it);
             }
+            solver.retireCuts(retireScratch_);
         }
     }
-    for (int t : g.terminals())
-        if (!seen[t]) return true;  // disconnects a terminal: valid
-    return false;
+    std::vector<std::pair<int, double>> coefs;
+    coefs.reserve(vars.size());
+    for (int var : vars) coefs.emplace_back(var, 1.0);
+    const std::int64_t token =
+        solver.addCut(cip::Row(std::move(coefs), 1.0, cip::kInf));
+    if (poolId >= 0) {
+        tokenOf_[poolId] = token;
+        poolIdOf_[token] = poolId;
+    }
+    return true;
 }
 
 int StpConshdlr::activatePrimedCuts(cip::Solver& solver,
                                     const std::vector<double>& x,
-                                    double violationTol) {
+                                    double violationTol, bool dominance) {
     if (primed_.empty()) return 0;
-    const bool dominance =
-        solver.params().getBool("stp/sepa/pooldominance", true);
     int added = 0;
     std::int64_t sharedAdded = 0;
     std::int64_t invalid = 0;
@@ -186,35 +255,7 @@ int StpConshdlr::activatePrimedCuts(cip::Solver& solver,
             }
             pc.cert = 1;
         }
-        int poolId = -1;
-        if (dominance) {
-            const CutPool::Verdict v =
-                pool_.offer(pc.vars, &poolId, &evictScratch_);
-            if (v == CutPool::Verdict::Duplicate ||
-                v == CutPool::Verdict::Dominated)
-                continue;  // an at-least-as-strong local row already exists
-            if (v == CutPool::Verdict::Untracked) poolId = -1;
-            if (!evictScratch_.empty()) {
-                retireScratch_.clear();
-                for (int pid : evictScratch_) {
-                    auto it = tokenOf_.find(pid);
-                    if (it == tokenOf_.end()) continue;
-                    retireScratch_.push_back(it->second);
-                    poolIdOf_.erase(it->second);
-                    tokenOf_.erase(it);
-                }
-                solver.retireCuts(retireScratch_);
-            }
-        }
-        std::vector<std::pair<int, double>> coefs;
-        coefs.reserve(pc.vars.size());
-        for (int var : pc.vars) coefs.emplace_back(var, 1.0);
-        const std::int64_t token =
-            solver.addCut(cip::Row(std::move(coefs), 1.0, cip::kInf));
-        if (poolId >= 0) {
-            tokenOf_[poolId] = token;
-            poolIdOf_[token] = poolId;
-        }
+        if (!admitCut(solver, pc.vars, dominance)) continue;
         ++added;
         if (!pc.local) ++sharedAdded;
     }
@@ -282,37 +323,18 @@ bool StpConshdlr::check(cip::Solver&, const std::vector<double>& x) {
     // Global feasibility: every *real* terminal reachable from the root by
     // arcs with value 1 (vertex-branching requirements are node-local and
     // deliberately not part of the global check).
-    const Graph& g = inst_.graph;
-    std::vector<bool> seen(g.numVertices(), false);
-    std::queue<int> q;
-    q.push(inst_.root);
-    seen[inst_.root] = true;
-    while (!q.empty()) {
-        const int v = q.front();
-        q.pop();
-        for (int e : g.incident(v)) {
-            if (g.edge(e).deleted) continue;
-            const int a = (g.edge(e).u == v) ? 2 * e : 2 * e + 1;  // v -> w
-            const int var = inst_.arcVar[a];
-            if (var < 0 || x[var] < 0.5) continue;
-            const int w = g.edge(e).other(v);
-            if (!seen[w]) {
-                seen[w] = true;
-                q.push(w);
-            }
-        }
-    }
-    for (int t : g.terminals())
-        if (!seen[t]) return false;
-    return true;
+    return reachesAllTerminals(inst_, [&](int a) {
+        const int var = inst_.arcVar[a];
+        return var >= 0 && x[var] >= 0.5;
+    });
 }
 
 int StpConshdlr::separate(cip::Solver& solver, const std::vector<double>& x) {
     const auto t0 = std::chrono::steady_clock::now();
     const Graph& g = inst_.graph;
     const CutSepaConfig cfg = sepaConfig(solver);
-    const cip::ParamSet& params = solver.params();
-    const bool dominance = params.getBool("stp/sepa/pooldominance", true);
+    const bool dominance =
+        solver.params().getBool("stp/sepa/pooldominance", true);
     // Mirror the solver's pool first: cuts it aged out of the LP since the
     // last round must leave the dominance pool, or a later re-violation of
     // the same cut would be rejected as a "duplicate" of a row that no
@@ -326,7 +348,8 @@ int StpConshdlr::separate(cip::Solver& solver, const std::vector<double>& x) {
     // before it is worth paying max-flow solves on a fractional point those
     // rows are about to cut off; the engine separates the re-solved point on
     // the next round.
-    const int primedAdded = activatePrimedCuts(solver, x, cfg.violationTol);
+    const int primedAdded =
+        activatePrimedCuts(solver, x, cfg.violationTol, dominance);
     if (primedAdded > 0) {
         solver.addCost(1);  // deterministic round charge, same as below
         reportPoolStats(solver);
@@ -369,41 +392,8 @@ int StpConshdlr::separate(cip::Solver& solver, const std::vector<double>& x) {
         cuts.clear();
         engine_.separateTarget(t, std::min(termBudget, perTarget), cuts);
         int added = 0;
-        for (SteinerCut& c : cuts) {
-            int poolId = -1;
-            if (dominance) {
-                // Offer the support to the solver-lifetime pool; only cuts
-                // that survive duplicate + subset-dominance filtering reach
-                // the LP, and pooled supersets of the new cut are retired.
-                const CutPool::Verdict v =
-                    pool_.offer(c.vars, &poolId, &evictScratch_);
-                if (v == CutPool::Verdict::Duplicate ||
-                    v == CutPool::Verdict::Dominated)
-                    continue;  // an at-least-as-strong row already exists
-                if (v == CutPool::Verdict::Untracked) poolId = -1;
-                if (!evictScratch_.empty()) {
-                    retireScratch_.clear();
-                    for (int pid : evictScratch_) {
-                        auto it = tokenOf_.find(pid);
-                        if (it == tokenOf_.end()) continue;
-                        retireScratch_.push_back(it->second);
-                        poolIdOf_.erase(it->second);
-                        tokenOf_.erase(it);
-                    }
-                    solver.retireCuts(retireScratch_);
-                }
-            }
-            std::vector<std::pair<int, double>> coefs;
-            coefs.reserve(c.vars.size());
-            for (int var : c.vars) coefs.emplace_back(var, 1.0);
-            const std::int64_t token =
-                solver.addCut(cip::Row(std::move(coefs), 1.0, cip::kInf));
-            if (poolId >= 0) {
-                tokenOf_[poolId] = token;
-                poolIdOf_[token] = poolId;
-            }
-            ++added;
-        }
+        for (const SteinerCut& c : cuts)
+            if (admitCut(solver, c.vars, dominance)) ++added;
         // Budget accounting runs on cuts actually handed to the LP: rounds
         // with many pool rejections are free to probe more targets without
         // growing the LP past the round budget.
@@ -522,27 +512,12 @@ StpHeuristic::StpHeuristic(const SapInstance& inst)
 
 std::optional<cip::Solution> StpHeuristic::run(cip::Solver& solver,
                                                const std::vector<double>& x) {
-    const cip::Node* node = solver.currentNode();
-    // Working copy reflecting the node state.
-    Graph h = inst_.graph;
-    if (node) {
-        VertexBranchState st =
-            parseVertexBranches(inst_, node->desc.customBranches);
-        for (int v = 0; v < h.numVertices(); ++v)
-            if (st.flag[v] == 1 && h.vertexAlive(v)) h.setTerminal(v, true);
-    }
-    const auto& ub = solver.localUb();
+    const Graph h = nodeGraph(solver, inst_);
     std::vector<double> override(h.numEdges(), kInfCost);
     for (int e = 0; e < h.numEdges(); ++e) {
         if (h.edge(e).deleted) continue;
         const int v0 = inst_.arcVar[2 * e];
         const int v1 = inst_.arcVar[2 * e + 1];
-        const bool usable = (v0 >= 0 && ub[v0] > 0.5) ||
-                            (v1 >= 0 && ub[v1] > 0.5);
-        if (!usable) {
-            h.deleteEdge(e);
-            continue;
-        }
         double frac = 0.0;
         if (v0 >= 0) frac += x[v0];
         if (v1 >= 0) frac += x[v1];
@@ -575,6 +550,11 @@ cip::ReduceResult StpSubproblemReducer::presolve(cip::Solver& solver) {
     return reduceSubgraphAndFix(solver, inst_, extended);
 }
 
+int StpReductionPropagator::frequency(const cip::Solver& solver) const {
+    return inst_.gadgetGraph ? 0
+                             : solver.params().getInt("stp/redprop/freq", 4);
+}
+
 StpReductionPropagator::StpReductionPropagator(const SapInstance& inst,
                                                StpConshdlr* conshdlr)
     : Propagator("stp_redprop", 10),
@@ -584,11 +564,8 @@ StpReductionPropagator::StpReductionPropagator(const SapInstance& inst,
 
 cip::ReduceResult StpReductionPropagator::propagate(cip::Solver& solver) {
     const cip::Node* node = solver.currentNode();
-    // "stp/redprop/freq" <= 0 or a gadget graph turns the propagator off
-    // (propagateLp too).
-    const int freq = solver.params().getInt("stp/redprop/freq", 4);
-    if (!node || node->id == lastNode_ || freq <= 0 ||  // once per node
-        inst_.gadgetGraph)
+    const int freq = frequency(solver);
+    if (!node || node->id == lastNode_ || freq <= 0)  // once per node
         return cip::ReduceResult::Unchanged;
     // Run at frequency-selected depths (including the root, which seeds the
     // ascent cache) and whenever the primal bound improved since the last
@@ -673,9 +650,7 @@ cip::ReduceResult StpReductionPropagator::propagate(cip::Solver& solver) {
 
 cip::ReduceResult StpReductionPropagator::propagateLp(cip::Solver& solver) {
     const cip::Node* node = solver.currentNode();
-    if (!node || inst_.gadgetGraph ||
-        solver.params().getInt("stp/redprop/freq", 4) <= 0)
-        return cip::ReduceResult::Unchanged;
+    if (!node || frequency(solver) <= 0) return cip::ReduceResult::Unchanged;
     const double cutoff = solver.pruningCutoff();
     if (cutoff >= cip::kInf) return cip::ReduceResult::Unchanged;
     const double lpObj = solver.lpObjective();
@@ -761,23 +736,7 @@ cip::ReduceResult StpReductionPropagator::propagateLp(cip::Solver& solver) {
 cip::ReduceResult reduceSubgraphAndFix(cip::Solver& solver,
                                        const SapInstance& inst_,
                                        bool extended) {
-    // Materialize the subproblem's graph from the local bounds.
-    Graph h = inst_.graph;
-    const auto& ub = solver.localUb();
-    for (int e = 0; e < h.numEdges(); ++e) {
-        if (h.edge(e).deleted) continue;
-        const int v0 = inst_.arcVar[2 * e];
-        const int v1 = inst_.arcVar[2 * e + 1];
-        const bool usable = (v0 >= 0 && ub[v0] > 0.5) ||
-                            (v1 >= 0 && ub[v1] > 0.5);
-        if (!usable) h.deleteEdge(e);
-    }
-    const std::vector<cip::CustomBranch>& cbs =
-        solver.currentNode() ? solver.currentNode()->desc.customBranches
-                             : solver.rootSubproblem().customBranches;
-    VertexBranchState st = parseVertexBranches(inst_, cbs);
-    for (int v = 0; v < h.numVertices(); ++v)
-        if (st.flag[v] == 1 && h.vertexAlive(v)) h.setTerminal(v, true);
+    Graph h = nodeGraph(solver, inst_);
 
     // Deletion-only reduction loop (no contractions: the variable space is
     // fixed). Because branching has deleted vertices and added terminals,
@@ -785,31 +744,9 @@ cip::ReduceResult reduceSubgraphAndFix(cip::Solver& solver,
     ReductionStats stats;
     for (int round = 0; round < 2; ++round) {
         const long long before = stats.edgesDeleted;
-        // Dangling non-terminal chains: single-pass queue-based degree-1
-        // peel (deleting a leaf edge can only turn its neighbor into the
-        // next leaf, so seeding with the current leaves is complete).
-        std::queue<int> leaves;
-        for (int v = 0; v < h.numVertices(); ++v)
-            if (h.vertexAlive(v) && !h.isTerminal(v) && h.degree(v) == 1)
-                leaves.push(v);
-        while (!leaves.empty()) {
-            const int v = leaves.front();
-            leaves.pop();
-            if (!h.vertexAlive(v) || h.isTerminal(v) || h.degree(v) != 1)
-                continue;
-            int live = -1;
-            for (int e : h.incident(v))
-                if (!h.edge(e).deleted) {
-                    live = e;
-                    break;
-                }
-            if (live < 0) continue;
-            const int w = h.edge(live).other(v);
-            h.deleteEdge(live);
-            ++stats.edgesDeleted;
-            if (h.vertexAlive(w) && !h.isTerminal(w) && h.degree(w) == 1)
-                leaves.push(w);
-        }
+        std::vector<int> peeled;
+        peelDanglingChains(h, peeled);
+        stats.edgesDeleted += static_cast<long long>(peeled.size());
         sdTest(h, stats);
         if (h.numTerminals() > 1) {
             HeuristicSolution heur = primalHeuristic(h, 4);
@@ -823,6 +760,7 @@ cip::ReduceResult reduceSubgraphAndFix(cip::Solver& solver,
     solver.addCost(1 + h.numActiveEdges() / 8);
 
     // Translate deletions into local arc fixings.
+    const auto& ub = solver.localUb();
     bool reduced = false;
     for (int e = 0; e < h.numEdges(); ++e) {
         if (!h.edge(e).deleted || inst_.graph.edge(e).deleted) continue;
@@ -856,25 +794,8 @@ void installStpPlugins(cip::Solver& solver, const SapInstance& inst) {
         solver.params().setInt("separating/maxroundsroot", 20);
     solver.params().setInt("separating/maxrounds", 3);
     solver.params().setInt("separating/maxpoolsize", 250);
-    // Cut separation engine defaults (overridable from the outside).
-    cip::ParamSet& p = solver.params();
-    if (!p.has("stp/sepa/nestedcuts")) p.setBool("stp/sepa/nestedcuts", true);
-    if (!p.has("stp/sepa/backcuts")) p.setBool("stp/sepa/backcuts", true);
-    if (!p.has("stp/sepa/creepflow")) p.setBool("stp/sepa/creepflow", false);
-    if (!p.has("stp/sepa/warmstart")) p.setBool("stp/sepa/warmstart", true);
-    if (!p.has("stp/sepa/maxcuts")) p.setInt("stp/sepa/maxcuts", 12);
-    if (!p.has("stp/sepa/violationtol"))
-        p.setReal("stp/sepa/violationtol", 0.05);
-    // Solver-lifetime dominance-filtered cut pool: reject duplicate and
-    // dominated (superset-support) cuts across rounds, retire pooled cuts a
-    // stronger subset cut supersedes.
-    if (!p.has("stp/sepa/pooldominance"))
-        p.setBool("stp/sepa/pooldominance", true);
-    // Cross-solver cut sharing: piggyback newly admitted pool supports on
-    // Status/Terminated (bounded batches) and accept certification-gated
-    // priming bundles with assignments. Read by the ug layer; disabling
-    // reproduces strictly per-solver separation.
-    if (!p.has("stp/share/enable")) p.setBool("stp/share/enable", true);
+    // No stp/ key is written here: each default lives in its one reader
+    // (CutSepaConfig, separate(), and the ug layer for stp/share/enable).
 }
 
 }  // namespace steiner

@@ -89,10 +89,15 @@ private:
     /// support's arcs leaves some terminal unreachable from the root, i.e.
     /// "sum of support arcs >= 1" holds for every feasible arborescence.
     bool certifySupport(const std::vector<int>& vars);
-    /// Activate violated+certified primed supports (dominance pool +
-    /// solver.addCut); returns the number added, records shared-cut stats.
+    /// Add "sum of vars >= 1" as an LP cut. With `dominance`, the support
+    /// first passes the solver-lifetime pool (false: a duplicate or a
+    /// dominated support, nothing added) and pooled supersets are retired.
+    bool admitCut(cip::Solver& solver, const std::vector<int>& vars,
+                  bool dominance);
+    /// Activate violated+certified primed supports through admitCut;
+    /// returns the number added, records shared-cut stats.
     int activatePrimedCuts(cip::Solver& solver, const std::vector<double>& x,
-                           double violationTol);
+                           double violationTol, bool dominance);
 
     const SapInstance& inst_;
     CutSeparationEngine engine_;
@@ -125,6 +130,9 @@ private:
     std::vector<PrimedCut> primed_;
     std::vector<char> arcMask_;  ///< certifySupport scratch: arcs removed
 };
+
+/// The solver's StpConshdlr (installed under kStpPluginName), or null.
+StpConshdlr* findStpConshdlr(cip::Solver& solver);
 
 class StpVertexBranching : public cip::Branchrule {
 public:
@@ -187,6 +195,9 @@ public:
     const ReduceEngine& engine() const { return engine_; }
 
 private:
+    /// "stp/redprop/freq", or 0 (off) on a gadget graph.
+    int frequency(const cip::Solver& solver) const;
+
     const SapInstance& inst_;
     StpConshdlr* conshdlr_;  ///< sink for harvested ascent cuts (may be null)
     ReduceEngine engine_;
@@ -207,7 +218,10 @@ cip::ReduceResult reduceSubgraphAndFix(cip::Solver& solver,
                                        const SapInstance& inst,
                                        bool extended);
 
-/// Install the full SCIP-Jack-style plugin set into a solver.
+/// Install the full SCIP-Jack-style plugin set into a solver and set its
+/// cip overrides: diving off, 3 separation rounds per tree node (20 at the
+/// root unless the caller set separating/maxroundsroot) and a 250-cut LP
+/// pool. misc/objintegral is left to the caller (SapInstance::integralCosts).
 void installStpPlugins(cip::Solver& solver, const SapInstance& inst);
 
 }  // namespace steiner

@@ -1,7 +1,6 @@
 #include "steiner/reduceengine.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "steiner/reductions.hpp"
 
@@ -16,13 +15,6 @@ ReduceEngine::ReduceEngine(const SapInstance& inst)
       work_(inst.graph),
       extraTerm_(inst.graph.numVertices(), 0) {}
 
-bool ReduceEngine::edgeUsable(const std::vector<double>& ub, int e) const {
-    const int v0 = inst_.arcVar[2 * static_cast<std::size_t>(e)];
-    const int v1 = inst_.arcVar[2 * static_cast<std::size_t>(e) + 1];
-    return (v0 >= 0 && ub[static_cast<std::size_t>(v0)] > 0.5) ||
-           (v1 >= 0 && ub[static_cast<std::size_t>(v1)] > 0.5);
-}
-
 ReduceEngine::SyncDelta ReduceEngine::sync(
     const std::vector<double>& ub,
     const std::vector<signed char>& requiredFlag) {
@@ -30,7 +22,7 @@ ReduceEngine::SyncDelta ReduceEngine::sync(
     const Graph& base = inst_.graph;
     for (int e = 0; e < base.numEdges(); ++e) {
         if (base.edge(e).deleted) continue;  // gone before the model existed
-        const bool usable = edgeUsable(ub, e);
+        const bool usable = inst_.edgeUsable(ub, e);
         const bool active = !work_.edge(e).deleted;
         if (active && !usable) {
             work_.deleteEdge(e);
@@ -122,37 +114,6 @@ void ReduceEngine::appendNewlyDeleted(const std::vector<char>& before,
             out.push_back(e);
 }
 
-void ReduceEngine::peelDanglingChains(std::vector<int>& deletedOut) {
-    // Queue-based degree-1 peel: deleting a leaf edge can only turn its
-    // neighbor into the next leaf, so seeding with current leaves suffices.
-    // Edges only — vertices stay alive so restoreEdge stays legal.
-    std::queue<int> leaves;
-    for (int v = 0; v < work_.numVertices(); ++v)
-        if (work_.vertexAlive(v) && !work_.isTerminal(v) &&
-            work_.degree(v) == 1)
-            leaves.push(v);
-    while (!leaves.empty()) {
-        const int v = leaves.front();
-        leaves.pop();
-        if (!work_.vertexAlive(v) || work_.isTerminal(v) ||
-            work_.degree(v) != 1)
-            continue;
-        int live = -1;
-        for (int e : work_.incident(v))
-            if (!work_.edge(e).deleted) {
-                live = e;
-                break;
-            }
-        if (live < 0) continue;
-        const int w = work_.edge(live).other(v);
-        work_.deleteEdge(live);
-        deletedOut.push_back(live);
-        if (work_.vertexAlive(w) && !work_.isTerminal(w) &&
-            work_.degree(w) == 1)
-            leaves.push(w);
-    }
-}
-
 ReduceEngine::RunResult ReduceEngine::run(
     const std::vector<double>& ub,
     const std::vector<signed char>& requiredFlag, double cutoffGraph,
@@ -228,7 +189,7 @@ ReduceEngine::RunResult ReduceEngine::run(
     for (int round = 0; round < 2; ++round) {
         const std::size_t before =
             out.inheritedDeleted.size() + out.localDeleted.size();
-        peelDanglingChains(out.localDeleted);
+        peelDanglingChains(work_, out.localDeleted);
         captureActive(activeScratch_);
         sdTest(work_, rstats);
         appendNewlyDeleted(activeScratch_, out.localDeleted);

@@ -113,13 +113,11 @@ private:
 
     SyncDelta sync(const std::vector<double>& ub,
                    const std::vector<signed char>& requiredFlag);
-    bool edgeUsable(const std::vector<double>& ub, int e) const;
     void snapshotAscentState();
     void harvest(const std::vector<std::vector<int>>& arcCuts);
     void captureActive(std::vector<char>& out) const;
     void appendNewlyDeleted(const std::vector<char>& before,
                             std::vector<int>& out);
-    void peelDanglingChains(std::vector<int>& deletedOut);
 
     const SapInstance& inst_;
     Graph work_;                       ///< persistent node-synced subgraph

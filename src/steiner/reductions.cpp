@@ -1,6 +1,7 @@
 #include "steiner/reductions.hpp"
 
 #include <algorithm>
+#include <queue>
 
 #include "steiner/dualascent.hpp"
 #include "steiner/heuristics.hpp"
@@ -107,6 +108,33 @@ void degreeTests(Graph& g, ReductionStats& stats) {
                 changed = true;
             }
         }
+    }
+}
+
+void peelDanglingChains(Graph& g, std::vector<int>& deletedOut) {
+    // Deleting a leaf edge can only turn its neighbor into the next leaf,
+    // so seeding the queue with the current leaves is complete.
+    std::queue<int> leaves;
+    for (int v = 0; v < g.numVertices(); ++v)
+        if (g.vertexAlive(v) && !g.isTerminal(v) && g.degree(v) == 1)
+            leaves.push(v);
+    while (!leaves.empty()) {
+        const int v = leaves.front();
+        leaves.pop();
+        if (!g.vertexAlive(v) || g.isTerminal(v) || g.degree(v) != 1)
+            continue;
+        int live = -1;
+        for (int e : g.incident(v))
+            if (!g.edge(e).deleted) {
+                live = e;
+                break;
+            }
+        if (live < 0) continue;
+        const int w = g.edge(live).other(v);
+        g.deleteEdge(live);
+        deletedOut.push_back(live);
+        if (g.vertexAlive(w) && !g.isTerminal(w) && g.degree(w) == 1)
+            leaves.push(w);
     }
 }
 

@@ -32,6 +32,11 @@ struct ReductionStats {
 /// Degree-0/1/2 tests + parallel edge dominance until fixpoint.
 void degreeTests(Graph& g, ReductionStats& stats);
 
+/// Delete the edges of dangling non-terminal chains (degree-1 peel),
+/// appending each deleted edge id to `deletedOut`. Only edges are deleted:
+/// vertices stay alive, so Graph::restoreEdge stays legal afterwards.
+void peelDanglingChains(Graph& g, std::vector<int>& deletedOut);
+
 /// SD-lite: delete edge (u,v) if an alternative u-v path of cost <= c(u,v)
 /// exists. `scanLimit` caps Dijkstra effort per edge.
 void sdTest(Graph& g, ReductionStats& stats, int scanLimit = 2000);

@@ -18,13 +18,10 @@ SapInstance buildSapInstance(Graph reducedGraph, const ReductionStats& red,
     inst.arcVar.assign(2 * static_cast<std::size_t>(g.numEdges()), -1);
     if (inst.trivial()) return inst;
 
-    bool integralCosts = true;
     // Variables: one per arc, skipping arcs entering the root.
     for (int e = 0; e < g.numEdges(); ++e) {
         const Edge& ed = g.edge(e);
         if (ed.deleted) continue;
-        if (std::fabs(ed.cost - std::round(ed.cost)) > 1e-9)
-            integralCosts = false;
         if (ed.v != inst.root) {
             inst.arcVar[2 * e] =
                 inst.model.addVar(ed.cost, 0.0, 1.0, true);
@@ -88,8 +85,18 @@ SapInstance buildSapInstance(Graph reducedGraph, const ReductionStats& red,
                 inst.model.addLinear(cip::Row(std::move(coefs), 1.0, cip::kInf));
         }
     }
-    (void)integralCosts;  // exposed via params by the caller if desired
     return inst;
+}
+
+bool SapInstance::integralCosts() const {
+    const auto integral = [](double c) {
+        return std::fabs(c - std::round(c)) < 1e-9;
+    };
+    if (!integral(fixedCost)) return false;
+    for (int e = 0; e < graph.numEdges(); ++e)
+        if (!graph.edge(e).deleted && !integral(graph.edge(e).cost))
+            return false;
+    return true;
 }
 
 std::vector<double> treeToModelSolution(const SapInstance& inst,

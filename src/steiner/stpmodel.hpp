@@ -34,6 +34,16 @@ struct SapInstance {
     int numArcs() const { return static_cast<int>(varArc.size()); }
     /// Trivial when <=1 terminal survived presolving.
     bool trivial() const { return graph.numTerminals() <= 1; }
+    /// Every live edge cost and the presolve-fixed cost are integers, so
+    /// every objective value is one (the B&B may round its dual bound).
+    bool integralCosts() const;
+    /// Some arc of edge e is a model variable with upper bound 1 in `ub`.
+    bool edgeUsable(const std::vector<double>& ub, int e) const {
+        const int v0 = arcVar[2 * static_cast<std::size_t>(e)];
+        const int v1 = arcVar[2 * static_cast<std::size_t>(e) + 1];
+        return (v0 >= 0 && ub[static_cast<std::size_t>(v0)] > 0.5) ||
+               (v1 >= 0 && ub[static_cast<std::size_t>(v1)] > 0.5);
+    }
 };
 
 /// Build the SAP model for an already reduced graph. `maxInitialCuts` caps

@@ -1,7 +1,5 @@
 #include "steiner/stpsolver.hpp"
 
-#include <cmath>
-
 #include "steiner/plugins.hpp"
 #include "steiner/shortest.hpp"
 
@@ -48,15 +46,8 @@ SteinerResult SteinerSolver::solve(const cip::ParamSet& params) {
     cip::Solver solver;
     solver.setModel(inst_.model);
     solver.params().merge(params);
-    // Integral edge costs let the B&B round its dual bound.
-    bool integral = std::fabs(inst_.fixedCost - std::round(inst_.fixedCost)) <
-                    1e-9;
-    for (int e = 0; e < inst_.graph.numEdges() && integral; ++e) {
-        if (inst_.graph.edge(e).deleted) continue;
-        integral = std::fabs(inst_.graph.edge(e).cost -
-                             std::round(inst_.graph.edge(e).cost)) < 1e-9;
-    }
-    if (integral) solver.params().setBool("misc/objintegral", true);
+    if (inst_.integralCosts())
+        solver.params().setBool("misc/objintegral", true);
     installStpPlugins(solver, inst_);
     const cip::Status st = solver.solve();
     return makeResult(st, solver.incumbent(), solver.dualBound(),

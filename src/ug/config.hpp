@@ -76,19 +76,9 @@ struct UgConfig {
     cip::Solution initialSolution;
 
     int statusIntervalSteps = 1;   ///< worker status report frequency (steps)
-    int poolTargetPerSolver = 1;   ///< desired pool size per (possibly idle) solver
 
-    /// Collect-mode ramp-down: a solver sitting on exactly one open node may
-    /// be engaged as a supplier (and told it may ship that last node) when
-    /// idle solvers exist and its effort-weighted frontier — open nodes
-    /// times average simplex iterations per node — is at least this heavy.
-    /// Below the threshold single-node solvers are left alone, as shipping
-    /// a cheap last node just moves the work without parallelizing it.
-    double collectHeavySingleWeight = 256.0;
-
-    // SimEngine knobs (ignored by ThreadEngine).
-    double costUnitSeconds = 1e-4;  ///< virtual seconds per base-solver work unit
-    double msgLatency = 1e-3;       ///< virtual message latency (seconds)
+    /// SimEngine only: virtual seconds per base-solver work unit.
+    double costUnitSeconds = 1e-4;
 
     /// Periodic coordinator status lines (engine seconds; 0 = quiet), in the
     /// style of UG's solving-status output.
@@ -113,16 +103,12 @@ struct UgConfig {
     /// nodes processed) has not advanced for this many engine seconds is
     /// *stalled* (as opposed to *dead* = silent): it gets a soft Interrupt,
     /// its root is requeued with a bumped retry level, and the redispatch
-    /// attaches `stallFallbackParams` so the retry runs a different
-    /// configuration. A rank that stays active for another stallTimeout
-    /// after the Interrupt (the Interrupt or its Terminated reply was lost)
-    /// escalates to dead. 0 disables stall detection.
+    /// attaches a fallback profile (lp/pricing=devex, stp/redprop/freq=0)
+    /// so the retry runs a different configuration. A rank that stays
+    /// active for another stallTimeout after the Interrupt (the Interrupt or
+    /// its Terminated reply was lost) escalates to dead. 0 disables stall
+    /// detection.
     double stallTimeout = 0.0;
-
-    /// Parameter overrides attached when redispatching a stalled root
-    /// (retryLevel > 0). Empty means "use the built-in fallback profile"
-    /// (lp/pricing=devex, stp/redprop/freq=0).
-    cip::ParamSet stallFallbackParams;
 
     /// Cut-sharing quarantine: after this many *consecutive* corrupt (decode-
     /// failing) bundles involving one rank, sharing with that rank is

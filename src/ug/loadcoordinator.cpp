@@ -9,6 +9,18 @@
 
 namespace ug {
 
+namespace {
+/// Desired pool size per (possibly idle) solver.
+constexpr int kPoolTargetPerSolver = 1;
+/// Collect-mode ramp-down: a solver sitting on exactly one open node may be
+/// engaged as a supplier (and told it may ship that last node) when idle
+/// solvers exist and its effort-weighted frontier — open nodes times
+/// average simplex iterations per node — is at least this heavy. Below the
+/// threshold single-node solvers are left alone, as shipping a cheap last
+/// node just moves the work without parallelizing it.
+constexpr double kCollectHeavySingleWeight = 256.0;
+}  // namespace
+
 LoadCoordinator::LoadCoordinator(ParaComm& comm, const UgConfig& cfg)
     : comm_(comm),
       cfg_(cfg),
@@ -16,14 +28,11 @@ LoadCoordinator::LoadCoordinator(ParaComm& comm, const UgConfig& cfg)
       shareCuts_(cfg.baseParams.getBool("stp/share/enable", true)),
       cutoff_(cip::kInf) {
     info_.resize(cfg_.numSolvers + 1);
-    stallParams_ = cfg_.stallFallbackParams;
-    if (stallParams_.raw().empty()) {
-        // Built-in fallback profile for stalled-root redispatch: a different
-        // pricing rule and no reduction propagation sidestep the two
-        // subsystems most likely to loop on a pathological node.
-        stallParams_.setString("lp/pricing", "devex");
-        stallParams_.setInt("stp/redprop/freq", 0);
-    }
+    // Fallback profile for stalled-root redispatch: a different pricing
+    // rule and no reduction propagation sidestep the two subsystems most
+    // likely to loop on a pathological node.
+    stallParams_.setString("lp/pricing", "devex");
+    stallParams_.setInt("stp/redprop/freq", 0);
     if (cfg_.faults.tornWriteProb > 0)
         tornWriter_.emplace(cfg_.faults.tornWriteProb, cfg_.faults.seed);
 }
@@ -248,7 +257,7 @@ void LoadCoordinator::updateCollectMode() {
     for (int r = 1; r <= cfg_.numSolvers; ++r)
         if (!info_[r].active && !info_[r].dead) ++idle;
     const std::size_t target = static_cast<std::size_t>(
-        std::max(1, cfg_.poolTargetPerSolver * std::max(idle, 1)));
+        std::max(1, kPoolTargetPerSolver * std::max(idle, 1)));
     const bool wantCollect =
         pool_.size() < target && (idle > 0 || pool_.size() < target / 2 + 1);
 
@@ -273,7 +282,7 @@ void LoadCoordinator::updateCollectMode() {
             if (!si.active || si.collecting) continue;
             const bool heavySingle =
                 si.openNodes == 1 && idle > 0 &&
-                frontierWeight(si) >= cfg_.collectHeavySingleWeight;
+                frontierWeight(si) >= kCollectHeavySingleWeight;
             if (si.openNodes >= 2 || heavySingle) cands.push_back(r);
         }
         std::stable_sort(cands.begin(), cands.end(), [&](int a, int b) {

@@ -156,7 +156,7 @@ private:
     int bestSetting_ = -1;  ///< racing setting best_ was found under
 
     /// Fallback profile attached when redispatching a stalled root
-    /// (cfg.stallFallbackParams, or the built-in default).
+    /// (lp/pricing=devex, stp/redprop/freq=0).
     cip::ParamSet stallParams_;
     /// Torn-write fault injection on checkpoint saves (faults.tornWriteProb).
     std::optional<TornWriter> tornWriter_;

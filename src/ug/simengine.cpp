@@ -4,6 +4,10 @@
 
 namespace ug {
 
+namespace {
+constexpr double kMsgLatency = 1e-3;  ///< virtual message latency (seconds)
+}  // namespace
+
 SimEngine::SimEngine(BaseSolverFactory& factory, UgConfig cfg)
     : factory_(factory), cfg_(std::move(cfg)) {}
 
@@ -27,7 +31,7 @@ double SimEngine::now(int rank) const {
 
 void SimEngine::flushOutbox(double sendTime) {
     for (auto& p : outbox_) {
-        events_.push(Event{sendTime + cfg_.msgLatency + p.extraDelay, seq_++,
+        events_.push(Event{sendTime + kMsgLatency + p.extraDelay, seq_++,
                            EventKind::MsgArrival, p.dest, std::move(p.msg)});
     }
     outbox_.clear();

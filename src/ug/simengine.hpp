@@ -4,10 +4,10 @@
 // This is the repository's substitute for running ug[*, MPI] on a cluster
 // (see DESIGN.md): every ParaSolver advances its own virtual clock by the
 // deterministic cost of each base-solver step; messages travel with a
-// configurable latency; the LoadCoordinator observes virtual time. The
-// makespan, idle ratios, ramp-up times and max-active-solver statistics of
-// Tables 1-3 are read off this simulation. Single-threaded and exactly
-// reproducible.
+// fixed 1 ms latency (kMsgLatency); the LoadCoordinator observes virtual
+// time. The makespan, idle ratios, ramp-up times and max-active-solver
+// statistics of Tables 1-3 are read off this simulation. Single-threaded
+// and exactly reproducible.
 //
 // Fault injection: when cfg.faults is active all traffic is routed through a
 // FaultyComm decorator; delayed/reordered messages become events with extra
@@ -78,7 +78,7 @@ private:
     struct Pending {
         int dest;
         Message msg;
-        double extraDelay;  ///< fault-injected latency on top of msgLatency
+        double extraDelay;  ///< fault-injected latency on top of kMsgLatency
     };
 
     void flushOutbox(double sendTime);

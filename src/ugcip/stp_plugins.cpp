@@ -1,49 +1,30 @@
 #include "ugcip/stp_plugins.hpp"
 
-#include <cmath>
-
 #include "steiner/plugins.hpp"
 #include "ugcip/ugcip.hpp"
 
 namespace ugcip {
 
 void SteinerUserPlugins::installPlugins(cip::Solver& solver) {
-    using namespace steiner;
-    auto conshdlr = std::make_unique<StpConshdlr>(inst_);
-    StpConshdlr* conshdlrPtr = conshdlr.get();
-    solver.addConstraintHandler(std::move(conshdlr));
-    solver.addBranchrule(std::make_unique<StpVertexBranching>(inst_));
-    solver.addHeuristic(std::make_unique<StpHeuristic>(inst_));
-    solver.addPresolver(std::make_unique<StpSubproblemReducer>(inst_));
-    solver.addPropagator(
-        std::make_unique<StpReductionPropagator>(inst_, conshdlrPtr));
-    solver.params().setBool("heuristics/diving/enabled", false);
-    solver.params().setInt("separating/maxrounds", 3);
-    solver.params().setInt("separating/maxpoolsize", 250);
-    bool integral = std::fabs(inst_.fixedCost - std::round(inst_.fixedCost)) <
-                    1e-9;
-    for (int e = 0; e < inst_.graph.numEdges() && integral; ++e) {
-        if (inst_.graph.edge(e).deleted) continue;
-        integral = std::fabs(inst_.graph.edge(e).cost -
-                             std::round(inst_.graph.edge(e).cost)) < 1e-9;
-    }
-    if (integral) solver.params().setBool("misc/objintegral", true);
+    // Every transferred subproblem root has depth 0: give it the in-tree
+    // budget (2 x separating/maxrounds), not the sequential root's 20.
+    if (!solver.params().has("separating/maxroundsroot"))
+        solver.params().setInt("separating/maxroundsroot", 6);
+    if (inst_.integralCosts())
+        solver.params().setBool("misc/objintegral", true);
+    steiner::installStpPlugins(solver, inst_);
 }
 
 ug::CutBundle SteinerUserPlugins::collectShareableCuts(cip::Solver& solver,
                                                        int maxCuts) {
-    auto* ch = dynamic_cast<steiner::StpConshdlr*>(
-        solver.findConstraintHandler(steiner::kStpPluginName));
-    if (!ch) return {};
-    return ch->takeShareableCuts(maxCuts);
+    auto* ch = steiner::findStpConshdlr(solver);
+    return ch ? ch->takeShareableCuts(maxCuts) : ug::CutBundle{};
 }
 
 void SteinerUserPlugins::primeSharedCuts(cip::Solver& solver,
                                          const ug::CutBundle& cuts) {
-    if (cuts.empty()) return;
-    auto* ch = dynamic_cast<steiner::StpConshdlr*>(
-        solver.findConstraintHandler(steiner::kStpPluginName));
-    if (ch) ch->primeSharedCuts(solver, cuts);
+    if (auto* ch = steiner::findStpConshdlr(solver))
+        ch->primeSharedCuts(solver, cuts);
 }
 
 std::vector<cip::ParamSet> SteinerUserPlugins::racingSettings(int count) {

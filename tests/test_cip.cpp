@@ -120,7 +120,9 @@ TEST(CipSolver, NodeLimitReported) {
     s.params().setBool("heuristics/diving/enabled", false);
     Status st = s.solve();
     EXPECT_TRUE(st == Status::NodeLimit || st == Status::Optimal);
-    if (st == Status::NodeLimit) EXPECT_EQ(s.stats().nodesProcessed, 1);
+    if (st == Status::NodeLimit) {
+        EXPECT_EQ(s.stats().nodesProcessed, 1);
+    }
 }
 
 TEST(CipSolver, SteppingApiProcessesOneNodeAtATime) {

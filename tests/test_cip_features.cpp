@@ -154,7 +154,9 @@ TEST(CipLimits, CostLimitStops) {
     s.params().setBool("heuristics/diving/enabled", false);
     Status st = s.solve();
     EXPECT_TRUE(st == Status::CostLimit || st == Status::Optimal);
-    if (st == Status::CostLimit) EXPECT_GE(s.stats().totalCost, 5);
+    if (st == Status::CostLimit) {
+        EXPECT_GE(s.stats().totalCost, 5);
+    }
 }
 
 TEST(CipLimits, GapLimitStops) {
@@ -165,7 +167,9 @@ TEST(CipLimits, GapLimitStops) {
     s.params().setReal("limits/gap", 0.5);  // 50% gap: satisfied quickly
     Status st = s.solve();
     EXPECT_TRUE(st == Status::GapLimit || st == Status::Optimal);
-    if (st == Status::GapLimit) EXPECT_LE(s.gap(), 0.5 + 1e-9);
+    if (st == Status::GapLimit) {
+        EXPECT_LE(s.gap(), 0.5 + 1e-9);
+    }
 }
 
 TEST(CipNodesel, AllStrategiesReachTheOptimum) {

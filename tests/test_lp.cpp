@@ -331,8 +331,9 @@ TEST_P(SimplexWarmVsCold, BoundChangeEquivalence) {
         SolveStatus cst = cold.solve();
 
         ASSERT_EQ(wst, cst);
-        if (wst == SolveStatus::Optimal)
+        if (wst == SolveStatus::Optimal) {
             EXPECT_NEAR(warm.objective(), cold.objective(), 1e-6);
+        }
     }
 }
 
@@ -374,8 +375,9 @@ TEST_P(SimplexCutVsCold, RowAdditionEquivalence) {
         SolveStatus cst = cold.solve();
 
         ASSERT_EQ(wst, cst);
-        if (wst == SolveStatus::Optimal)
+        if (wst == SolveStatus::Optimal) {
             EXPECT_NEAR(warm.objective(), cold.objective(), 1e-6);
+        }
     }
 }
 

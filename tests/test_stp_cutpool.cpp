@@ -182,10 +182,11 @@ TEST(CutPool, RandomizedOpsMatchBruteForceOracle) {
         // another.
         for (const auto& [ida, a] : oracle.alive)
             for (const auto& [idb, b] : oracle.alive)
-                if (ida != idb)
+                if (ida != idb) {
                     ASSERT_FALSE(std::includes(a.begin(), a.end(), b.begin(),
                                                b.end()))
                         << "pool kept a dominated cut";
+                }
     }
 }
 

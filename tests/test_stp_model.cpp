@@ -173,6 +173,25 @@ TEST(StpPlugins, VertexBranchStateParsing) {
     EXPECT_EQ(st.flag[3], -1);
 }
 
+TEST(StpModel, IntegralCostsSeesLiveEdgesAndFixedCost) {
+    const SapInstance hc = buildFor(genHypercube(3, true, 1));
+    ASSERT_FALSE(hc.trivial());
+    EXPECT_TRUE(hc.integralCosts());
+
+    int live = 0;
+    while (hc.graph.edge(live).deleted) ++live;
+    SapInstance fractionalEdge = hc;
+    fractionalEdge.graph.edge(live).cost = 1.5;
+    EXPECT_FALSE(fractionalEdge.integralCosts());
+    // A deleted edge is not part of any solution: its cost does not count.
+    fractionalEdge.graph.deleteEdge(live);
+    EXPECT_TRUE(fractionalEdge.integralCosts());
+
+    SapInstance fractionalFixed = hc;
+    fractionalFixed.fixedCost = 0.5;
+    EXPECT_FALSE(fractionalFixed.integralCosts());
+}
+
 TEST(StpModel, TrivialInstanceHasNoModel) {
     Graph g(2);
     g.addEdge(0, 1, 5.0);

@@ -2,6 +2,7 @@
 
 #include "steiner/exactdp.hpp"
 #include "steiner/instances.hpp"
+#include "steiner/plugins.hpp"
 #include "misdp/instances.hpp"
 #include "ugcip/misdp_plugins.hpp"
 #include "ugcip/stp_plugins.hpp"
@@ -113,6 +114,36 @@ TEST(UgcipGlue, SteinerRacingSettingsVaryStpKnobs) {
     }
     EXPECT_TRUE(sawVbOff);
     EXPECT_TRUE(sawDfs);
+}
+
+TEST(UgcipGlue, SteinerRootSeparationBudgetSplit) {
+    // Every transferred subproblem root has depth 0, so the UG installer
+    // gives it the in-tree budget (2 x separating/maxrounds = 6); the
+    // sequential installer keeps 20 for the one real root. Both keep a
+    // value the caller set, and only the UG installer sets objintegral.
+    steiner::Graph g = steiner::genHypercube(4, true, 3);
+    steiner::SteinerSolver s(g);
+    s.presolve();
+    ASSERT_FALSE(s.instance().trivial());
+    ugcip::SteinerUserPlugins plugins(s.instance());
+    for (bool preset : {false, true}) {
+        cip::Solver parallel;
+        cip::Solver sequential;
+        if (preset) {
+            parallel.params().setInt("separating/maxroundsroot", 9);
+            sequential.params().setInt("separating/maxroundsroot", 9);
+        }
+        plugins.installPlugins(parallel);
+        steiner::installStpPlugins(sequential, s.instance());
+        EXPECT_EQ(parallel.params().getInt("separating/maxroundsroot", -1),
+                  preset ? 9 : 6);
+        EXPECT_EQ(sequential.params().getInt("separating/maxroundsroot", -1),
+                  preset ? 9 : 20);
+        EXPECT_EQ(parallel.params().getInt("separating/maxrounds", -1), 3);
+        EXPECT_TRUE(parallel.params().getBool("misc/objintegral", false));
+        EXPECT_FALSE(sequential.params().has("misc/objintegral"));
+        EXPECT_NE(steiner::findStpConshdlr(parallel), nullptr);
+    }
 }
 
 TEST(UgcipGlue, ToSteinerResultMapsStatusAndEdges) {
