@@ -37,14 +37,17 @@ target_link_libraries(micro_kernels PRIVATE ugcip ug misdp steiner sdp lp
                       linalg cip benchmark::benchmark Threads::Threads)
 ugcop_add_bench(ablation_misdp_modes)
 
-# Smoke-run the simplex benches under ctest (-L bench-smoke) and record the
-# machine-readable numbers; BENCH_lp.json is where the warm-vs-dense
-# reoptimization speedup is tracked. RUN_SERIAL: its BM_SimplexWarm wall
-# times feed the 15% bench-lp-regression guard below, so they must not share
-# the CPU with concurrently scheduled tests.
+# Smoke-run the warm-resolve simplex bench under ctest (-L bench-smoke) and
+# record the machine-readable numbers in BENCH_lp.json. Only BM_SimplexWarm
+# runs here, the one family the bench-lp-regression guard below reads; the
+# other simplex families (BM_SimplexCold, BM_SimplexWarmCut,
+# BM_SimplexWarmDense, BM_SimplexBasisReload) stay runnable by hand with
+# --benchmark_filter=BM_Simplex. RUN_SERIAL: its BM_SimplexWarm wall times
+# feed the 15% guard, so they must not share the CPU with concurrently
+# scheduled tests.
 add_test(NAME bench-smoke
          COMMAND micro_kernels
-                 --benchmark_filter=BM_Simplex.*
+                 --benchmark_filter=BM_SimplexWarm/
                  --benchmark_out=${CMAKE_BINARY_DIR}/BENCH_lp.json
                  --benchmark_out_format=json)
 set_tests_properties(bench-smoke PROPERTIES LABELS bench-smoke
@@ -92,10 +95,12 @@ set_tests_properties(bench-smoke-cutpool PROPERTIES LABELS bench-smoke)
 
 # Cross-solver cut sharing smoke: archives the shared-pool vs isolated-pool
 # ramp-up comparison (summed max-flow rounds, final dual bound, share
-# pipeline counters) in BENCH_cutshare.json. SimEngine-deterministic.
+# pipeline counters) in BENCH_cutshare.json. SimEngine-deterministic. Only
+# the dim-4 rows run here; the dim-5 rows stay runnable by hand with
+# --benchmark_filter=BM_CutShareRampup/5/.
 add_test(NAME bench-smoke-cutshare
          COMMAND micro_kernels
-                 --benchmark_filter=BM_CutShareRampup.*
+                 --benchmark_filter=BM_CutShareRampup/4/
                  --benchmark_out=${CMAKE_BINARY_DIR}/BENCH_cutshare.json
                  --benchmark_out_format=json)
 set_tests_properties(bench-smoke-cutshare PROPERTIES

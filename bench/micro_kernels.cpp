@@ -335,7 +335,7 @@ void BM_CutPoolFilter(benchmark::State& state) {
             deck.push_back(std::move(s));
         }
     }
-    steiner::CutPool pool(nvars);
+    steiner::CutPool pool;
     std::vector<int> evicted;
     std::size_t i = 0;
     for (auto _ : state) {

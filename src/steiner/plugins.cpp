@@ -86,8 +86,7 @@ StpConshdlr::StpConshdlr(const SapInstance& inst)
     : ConstraintHandler(kStpPluginName, 0),
       inst_(inst),
       engine_(inst),
-      required_(inst.graph.numVertices(), 0),
-      pool_(inst.model.numVars()) {}
+      required_(inst.graph.numVertices(), 0) {}
 
 void StpConshdlr::syncRetiredCuts(cip::Solver& solver) {
     for (const std::int64_t tok : solver.takeRetiredCutTokens()) {

@@ -52,8 +52,6 @@ public:
 
     /// The separation engine (exposed for tests and benchmarks).
     const CutSeparationEngine& engine() const { return engine_; }
-    /// The solver-lifetime dominance pool (exposed for tests/benchmarks).
-    const CutPool& cutPool() const { return pool_; }
 
     // -- Cross-solver cut sharing ------------------------------------------
     /// Queue shared supports received with the assignment. Nothing enters

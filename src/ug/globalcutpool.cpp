@@ -20,92 +20,32 @@ GlobalCutPool::MergeStats GlobalCutPool::merge(const CutBundle& bundle,
     ms.reported = static_cast<int>(cuts.size());
     for (const CutSupport& cs : cuts)
         if (offer(cs, origin)) ++ms.pooled;
-    pooled_ += ms.pooled;
     return ms;
 }
 
 bool GlobalCutPool::offer(const CutSupport& cs, int origin) {
-    const int n = static_cast<int>(cs.vars.size());
-    if (n == 0) return false;
-
-    // Overlap counting over the inverted index: one pass over the incoming
-    // support classifies every indexed entry as duplicate, dominating subset,
-    // or dominated superset (same trick as steiner::CutPool::offer).
-    touched_.clear();
-    const int maxVar = cs.vars.back();
-    if (maxVar >= static_cast<int>(index_.size()))
-        index_.resize(static_cast<std::size_t>(maxVar) + 1);
-    for (int v : cs.vars) {
-        for (int id : index_[static_cast<std::size_t>(v)]) {
-            if (static_cast<std::size_t>(id) >= touchCount_.size())
-                touchCount_.resize(entries_.size(), 0);
-            if (touchCount_[static_cast<std::size_t>(id)]++ == 0)
-                touched_.push_back(id);
-        }
+    int id = -1;
+    const cip::SupportPool::Verdict v =
+        pool_.offer(cs.vars, cs.rhsClass, id);
+    if (v == cip::SupportPool::Verdict::Duplicate) {
+        Share& s = shares_[static_cast<std::size_t>(id)];
+        markKnown(s, origin);
+        markReported(s, origin);  // independent re-find: popularity++
+        s.touch = ++clock_;       // re-reported: still in circulation
     }
+    if (v != cip::SupportPool::Verdict::Admitted) return false;
 
-    bool rejected = false;
-    bool duplicate = false;
-    for (int id : touched_) {
-        Entry& e = entries_[static_cast<std::size_t>(id)];
-        const int common = touchCount_[static_cast<std::size_t>(id)];
-        const int esize = static_cast<int>(e.vars.size());
-        if (e.rhsClass != cs.rhsClass) continue;  // incomparable rows
-        if (common == esize && esize <= n) {
-            // Existing support is a subset (or equal): it dominates us.
-            rejected = true;
-            duplicate = (esize == n);
-            if (duplicate) {
-                markKnown(e, origin);
-                markReported(e, origin);  // independent re-find: popularity++
-                e.touch = ++clock_;  // re-reported: still in circulation
-            }
-            break;
-        }
-    }
-    if (rejected) {
-        for (int id : touched_) touchCount_[static_cast<std::size_t>(id)] = 0;
-        if (duplicate)
-            ++dupRejected_;
-        else
-            ++dominatedRejected_;
-        return false;
-    }
+    if (id >= static_cast<int>(shares_.size()))
+        shares_.resize(static_cast<std::size_t>(id) + 1);
+    Share& s = shares_[static_cast<std::size_t>(id)];
+    s.touch = ++clock_;
+    s.known.assign(static_cast<std::size_t>(knownWords_), 0);
+    s.reporters.assign(static_cast<std::size_t>(knownWords_), 0);
+    s.admits = 0;
+    markKnown(s, origin);
+    markReported(s, origin);
 
-    // Admit: claim the slot first, then evict strict supersets (evicting
-    // first would let the new entry reuse an id still listed in touched_).
-    int newId;
-    if (!freeIds_.empty()) {
-        newId = freeIds_.back();
-        freeIds_.pop_back();
-    } else {
-        newId = static_cast<int>(entries_.size());
-        entries_.emplace_back();
-        touchCount_.push_back(0);
-    }
-    for (int id : touched_) {
-        const int common = touchCount_[static_cast<std::size_t>(id)];
-        touchCount_[static_cast<std::size_t>(id)] = 0;
-        const Entry& e = entries_[static_cast<std::size_t>(id)];
-        if (e.alive && e.rhsClass == cs.rhsClass && common == n &&
-            static_cast<int>(e.vars.size()) > n)
-            evict(id, &dominatedEvicted_);
-    }
-
-    Entry& e = entries_[static_cast<std::size_t>(newId)];
-    e.vars = cs.vars;
-    e.rhsClass = cs.rhsClass;
-    e.touch = ++clock_;
-    e.known.assign(static_cast<std::size_t>(knownWords_), 0);
-    e.reporters.assign(static_cast<std::size_t>(knownWords_), 0);
-    e.admits = 0;
-    e.alive = true;
-    markKnown(e, origin);
-    markReported(e, origin);
-    indexEntry(newId);
-    ++liveCount_;
-
-    if (liveCount_ > capacity_) evictOldestOver(newId);
+    if (pool_.size() > capacity_) evictOldestOver(id);
     return true;
 }
 
@@ -113,7 +53,7 @@ CutBundle GlobalCutPool::bundleFor(int receiver,
                                    const cip::SubproblemDesc& desc,
                                    int maxCuts) {
     CutBundle out;
-    if (maxCuts <= 0 || liveCount_ == 0) return out;
+    if (maxCuts <= 0 || pool_.size() == 0) return out;
 
     // Vars fixed to 1 on the node's root path make "sum >= 1" rows over them
     // trivially satisfied — not worth the receiver's certification work.
@@ -126,17 +66,17 @@ CutBundle GlobalCutPool::bundleFor(int receiver,
             fixedOne_[static_cast<std::size_t>(bc.var)] = 1;
 
     order_.clear();
-    for (int id = 0; id < static_cast<int>(entries_.size()); ++id) {
-        const Entry& e = entries_[static_cast<std::size_t>(id)];
-        if (e.alive && !knows(e, receiver)) order_.push_back(id);
-    }
+    for (int id = 0; id < pool_.slots(); ++id)
+        if (pool_.contains(id) &&
+            !knows(shares_[static_cast<std::size_t>(id)], receiver))
+            order_.push_back(id);
     // Popular supports first — a cut independently admitted by >= 2 local
     // dominance pools has proved itself across subtrees — then
     // newest-touched within each class. The touch clock is strictly
     // monotone, so the order (and with it the whole run) is deterministic.
     std::sort(order_.begin(), order_.end(), [this](int a, int b) {
-        const Entry& ea = entries_[static_cast<std::size_t>(a)];
-        const Entry& eb = entries_[static_cast<std::size_t>(b)];
+        const Share& ea = shares_[static_cast<std::size_t>(a)];
+        const Share& eb = shares_[static_cast<std::size_t>(b)];
         const bool pa = ea.admits >= 2, pb = eb.admits >= 2;
         if (pa != pb) return pa;
         return ea.touch > eb.touch;
@@ -144,66 +84,43 @@ CutBundle GlobalCutPool::bundleFor(int receiver,
 
     for (int id : order_) {
         if (out.count() >= maxCuts) break;
-        Entry& e = entries_[static_cast<std::size_t>(id)];
+        const std::vector<int>& vars = pool_.vars(id);
         bool trivial = false;
-        for (int v : e.vars)
+        for (int v : vars)
             if (v <= maxFixed && fixedOne_[static_cast<std::size_t>(v)]) {
                 trivial = true;
                 break;
             }
         if (trivial) continue;
-        if (!out.append(e.vars, e.rhsClass)) continue;
-        markKnown(e, receiver);
-        e.touch = ++clock_;
-        ++sent_;
+        if (!out.append(vars, pool_.rhsClass(id))) continue;
+        Share& s = shares_[static_cast<std::size_t>(id)];
+        markKnown(s, receiver);
+        s.touch = ++clock_;
     }
     return out;
 }
 
 std::vector<CutSupport> GlobalCutPool::snapshot() const {
     std::vector<CutSupport> out;
-    for (const Entry& e : entries_)
-        if (e.alive) out.push_back({e.vars, e.rhsClass});
+    for (int id = 0; id < pool_.slots(); ++id)
+        if (pool_.contains(id))
+            out.push_back({pool_.vars(id), pool_.rhsClass(id)});
     return out;
 }
 
-void GlobalCutPool::evict(int id, std::int64_t* counter) {
-    Entry& e = entries_[static_cast<std::size_t>(id)];
-    unindexEntry(id);
-    e.alive = false;
-    e.vars.clear();
-    e.known.clear();
-    e.reporters.clear();
-    e.admits = 0;
-    freeIds_.push_back(id);
-    --liveCount_;
-    ++*counter;
-}
-
-void GlobalCutPool::indexEntry(int id) {
-    for (int v : entries_[static_cast<std::size_t>(id)].vars)
-        index_[static_cast<std::size_t>(v)].push_back(id);
-}
-
-void GlobalCutPool::unindexEntry(int id) {
-    for (int v : entries_[static_cast<std::size_t>(id)].vars) {
-        std::vector<int>& lst = index_[static_cast<std::size_t>(v)];
-        lst.erase(std::remove(lst.begin(), lst.end(), id), lst.end());
-    }
-}
-
 void GlobalCutPool::evictOldestOver(int keepId) {
-    while (liveCount_ > capacity_) {
+    const auto touch = [this](int id) {
+        return shares_[static_cast<std::size_t>(id)].touch;
+    };
+    while (pool_.size() > capacity_) {
         int oldest = -1;
-        for (int id = 0; id < static_cast<int>(entries_.size()); ++id) {
-            const Entry& e = entries_[static_cast<std::size_t>(id)];
-            if (!e.alive || id == keepId) continue;
-            if (oldest < 0 ||
-                e.touch < entries_[static_cast<std::size_t>(oldest)].touch)
-                oldest = id;
+        for (int id = 0; id < pool_.slots(); ++id) {
+            if (!pool_.contains(id) || id == keepId) continue;
+            if (oldest < 0 || touch(id) < touch(oldest)) oldest = id;
         }
         if (oldest < 0) return;  // only the just-admitted entry is left
-        evict(oldest, &capacityEvicted_);
+        pool_.remove(oldest);
+        ++capacityEvicted_;
     }
 }
 

@@ -2,11 +2,13 @@
 //
 // Solvers piggyback their newly admitted dominance-pool supports on
 // Status/Terminated/RacingFinished messages; the LoadCoordinator merges them
-// here under the same antichain invariant the per-solver steiner::CutPool
-// keeps (duplicate rejection, subset-dominance rejection, retroactive
-// superset eviction), then attaches a relevance-filtered bundle to every
-// Subproblem / RacingSubproblem assignment so a receiving solver starts from
-// the fleet's accumulated root cuts instead of an empty pool.
+// here. Dominance filtering (duplicate rejection, subset-dominance
+// rejection, retroactive superset eviction within an RHS class) is
+// cip::SupportPool's, the engine the per-solver steiner::CutPool runs on
+// too; see src/cip/README.md. This class keeps the sharing record per
+// pooled support and attaches a relevance-filtered bundle to every
+// Subproblem / RacingSubproblem assignment, so a receiving solver starts
+// from the fleet's accumulated root cuts instead of an empty pool.
 //
 // Per-entry "already knows" rank bitsets prevent echoing a cut back to the
 // solver that reported it (or re-sending one already shipped); a touch clock
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "cip/node.hpp"
+#include "cip/supportpool.hpp"
 #include "ug/cutbundle.hpp"
 
 namespace ug {
@@ -54,76 +57,57 @@ public:
     CutBundle bundleFor(int receiver, const cip::SubproblemDesc& desc,
                         int maxCuts);
 
-    int size() const { return liveCount_; }
+    int size() const { return pool_.size(); }
 
     /// All live supports in deterministic (id) order — test/oracle hook.
     std::vector<CutSupport> snapshot() const;
 
-    // Cumulative counters (coordinator-side telemetry).
-    std::int64_t pooled() const { return pooled_; }
-    std::int64_t sent() const { return sent_; }
-    std::int64_t dupRejected() const { return dupRejected_; }
-    std::int64_t dominatedRejected() const { return dominatedRejected_; }
-    std::int64_t dominatedEvicted() const { return dominatedEvicted_; }
+    /// Supports dropped by oldest-touched eviction over capacity.
     std::int64_t capacityEvicted() const { return capacityEvicted_; }
 
 private:
-    struct Entry {
-        std::vector<int> vars;  ///< sorted unique support var ids
-        int rhsClass = 1;
+    /// Sharing record of one pooled support, indexed by its pool id.
+    struct Share {
         std::uint64_t touch = 0;            ///< last-use stamp (monotone)
         std::vector<std::uint64_t> known;   ///< rank bitset: already has it
         std::vector<std::uint64_t> reporters;  ///< rank bitset: admitted it
                                                ///< into its local pool
         int admits = 0;  ///< distinct ranks that reported (re-found) the cut
-        bool alive = false;
     };
 
-    bool knows(const Entry& e, int rank) const {
-        return (e.known[static_cast<std::size_t>(rank) >> 6] >>
+    bool knows(const Share& s, int rank) const {
+        return (s.known[static_cast<std::size_t>(rank) >> 6] >>
                 (static_cast<unsigned>(rank) & 63u)) & 1u;
     }
-    void markKnown(Entry& e, int rank) {
-        e.known[static_cast<std::size_t>(rank) >> 6] |=
+    void markKnown(Share& s, int rank) {
+        s.known[static_cast<std::size_t>(rank) >> 6] |=
             std::uint64_t{1} << (static_cast<unsigned>(rank) & 63u);
     }
-    /// Count `rank` as a distinct reporter of `e` (a solver whose local pool
+    /// Count `rank` as a distinct reporter of `s` (a solver whose local pool
     /// admitted the cut); feeds the popularity ordering of bundleFor().
-    void markReported(Entry& e, int rank) {
-        std::uint64_t& w = e.reporters[static_cast<std::size_t>(rank) >> 6];
+    void markReported(Share& s, int rank) {
+        std::uint64_t& w = s.reporters[static_cast<std::size_t>(rank) >> 6];
         const std::uint64_t bit = std::uint64_t{1}
                                   << (static_cast<unsigned>(rank) & 63u);
         if (!(w & bit)) {
             w |= bit;
-            ++e.admits;
+            ++s.admits;
         }
     }
 
     /// Offers one decoded support; returns true iff admitted.
     bool offer(const CutSupport& cs, int origin);
-    void evict(int id, std::int64_t* counter);
-    void indexEntry(int id);
-    void unindexEntry(int id);
     void evictOldestOver(int keepId);
 
     int knownWords_ = 1;
     int capacity_ = 0;
-    int liveCount_ = 0;
     std::uint64_t clock_ = 0;
 
-    std::vector<Entry> entries_;
-    std::vector<int> freeIds_;
-    std::vector<std::vector<int>> index_;  ///< var -> live entry ids
-    std::vector<int> touchCount_;          ///< scratch: per-id overlap count
-    std::vector<int> touched_;             ///< scratch: ids with count > 0
-    std::vector<char> fixedOne_;           ///< scratch: var fixed to 1 in desc
-    std::vector<int> order_;               ///< scratch: candidate ordering
+    cip::SupportPool pool_;
+    std::vector<Share> shares_;  ///< pool id -> sharing record
+    std::vector<char> fixedOne_;  ///< scratch: var fixed to 1 in desc
+    std::vector<int> order_;      ///< scratch: candidate ordering
 
-    std::int64_t pooled_ = 0;
-    std::int64_t sent_ = 0;
-    std::int64_t dupRejected_ = 0;
-    std::int64_t dominatedRejected_ = 0;
-    std::int64_t dominatedEvicted_ = 0;
     std::int64_t capacityEvicted_ = 0;
 };
 

@@ -229,7 +229,7 @@ TEST(GlobalCutPool, CapacityEvictsOldestTouched) {
 // --- solver-side export cursor ------------------------------------------------
 
 TEST(CutShare, ExportNewAdmittedSkipsEvictedAndConsumes) {
-    steiner::CutPool pool(16);
+    steiner::CutPool pool;
     ASSERT_EQ(pool.offer({1, 2, 3}), steiner::CutPool::Verdict::Admitted);
     // {2,3} evicts the superset before anything was exported.
     ASSERT_EQ(pool.offer({2, 3}), steiner::CutPool::Verdict::Admitted);
@@ -526,4 +526,28 @@ TEST(CutShare, DisablingShareSilencesAllMachinery) {
     EXPECT_EQ(res.stats.shareCutsReceived, 0);
     EXPECT_EQ(res.stats.shareCutsAdmitted, 0);
     EXPECT_EQ(res.stats.shareCutsInvalid, 0);
+}
+
+TEST(CutShare, SharingSavesMaxFlowSolvesOnHypercube4) {
+    // The ramp-up claim of cut sharing as a count: on the same instance and
+    // rank count, shared supports let solvers skip max-flow separation
+    // rounds (their summed flow solves drop) at the same optimum.
+    steiner::Graph g = steiner::genHypercube(4, true, 1);
+    steiner::SteinerSolver seq(g);
+    seq.presolve();
+    ASSERT_FALSE(seq.instance().trivial());
+
+    ug::UgConfig cfg;
+    cfg.numSolvers = 4;
+    const ug::UgResult shared =
+        ugcip::solveSteinerParallel(seq.instance(), cfg, /*simulated=*/true);
+    cfg.baseParams.setBool("stp/share/enable", false);
+    const ug::UgResult isolated =
+        ugcip::solveSteinerParallel(seq.instance(), cfg, /*simulated=*/true);
+
+    ASSERT_EQ(shared.status, ug::UgStatus::Optimal);
+    ASSERT_EQ(isolated.status, ug::UgStatus::Optimal);
+    EXPECT_NEAR(ugcip::toSteinerResult(seq, shared).cost,
+                ugcip::toSteinerResult(seq, isolated).cost, 1e-6);
+    EXPECT_LT(shared.stats.sepaFlowSolves, isolated.stats.sepaFlowSolves);
 }

@@ -26,7 +26,7 @@ using namespace steiner;
 // --- pool unit behaviour ------------------------------------------------------
 
 TEST(CutPool, DuplicateAndDominanceBasics) {
-    CutPool pool(16);
+    CutPool pool;
     int id123 = -1;
     std::vector<int> evicted;
 
@@ -73,7 +73,7 @@ TEST(CutPool, DuplicateAndDominanceBasics) {
 }
 
 TEST(CutPool, RemoveAllowsReadmission) {
-    CutPool pool(8);
+    CutPool pool;
     int id = -1;
     ASSERT_EQ(pool.offer({0, 5}, &id), CutPool::Verdict::Admitted);
     EXPECT_EQ(pool.offer({0, 5}), CutPool::Verdict::Duplicate);
@@ -91,6 +91,24 @@ TEST(CutPool, RemoveAllowsReadmission) {
     EXPECT_EQ(pool.offer({}, &untouched, &evicted),
               CutPool::Verdict::Untracked);
     EXPECT_EQ(untouched, -7);
+    EXPECT_TRUE(evicted.empty());
+    EXPECT_EQ(pool.size(), 1u);
+    EXPECT_EQ(pool.stats().untracked, 1);
+}
+
+TEST(CutPool, NegativeIdsAreNotPooled) {
+    // A support with a negative variable id names no model variable; it is
+    // left out like an empty one, so it can neither dominate nor be evicted.
+    CutPool pool;
+    int untouched = -7;
+    std::vector<int> evicted{42};
+    EXPECT_EQ(pool.offer({-1, 2}, &untouched, &evicted),
+              CutPool::Verdict::Untracked);
+    EXPECT_EQ(untouched, -7);
+    EXPECT_TRUE(evicted.empty());
+    EXPECT_EQ(pool.size(), 0u);
+    int id2 = -1;
+    ASSERT_EQ(pool.offer({2}, &id2, &evicted), CutPool::Verdict::Admitted);
     EXPECT_TRUE(evicted.empty());
     EXPECT_EQ(pool.size(), 1u);
     EXPECT_EQ(pool.stats().untracked, 1);
@@ -128,7 +146,7 @@ TEST(CutPool, RandomizedOpsMatchBruteForceOracle) {
     std::mt19937 rng(20260807);
     const int numVars = 12;
     for (int trial = 0; trial < 40; ++trial) {
-        CutPool pool(numVars);
+        CutPool pool;
         OraclePool oracle;
         std::uniform_int_distribution<int> supportSize(1, 5);
         std::uniform_int_distribution<int> var(0, numVars - 1);
