@@ -33,7 +33,7 @@ set_tests_properties(glue-loc PROPERTIES LABELS glue)
 add_executable(micro_kernels ${CMAKE_SOURCE_DIR}/bench/micro_kernels.cpp)
 set_target_properties(micro_kernels PROPERTIES
                       RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-target_link_libraries(micro_kernels PRIVATE ugcip ug misdp steiner sdp lp
+target_link_libraries(micro_kernels PRIVATE ugcip ug misdp steiner sdp lp_oracle lp
                       linalg cip benchmark::benchmark Threads::Threads)
 ugcop_add_bench(ablation_misdp_modes)
 

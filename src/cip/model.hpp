@@ -13,6 +13,15 @@ namespace cip {
 using lp::kInf;
 using lp::Row;
 
+/// The covering row  sum_{v in vars} x_v >= rhs, coefficients in `vars`
+/// order.
+inline Row coveringRow(const std::vector<int>& vars, double rhs = 1.0) {
+    std::vector<std::pair<int, double>> coefs;
+    coefs.reserve(vars.size());
+    for (int v : vars) coefs.emplace_back(v, 1.0);
+    return Row(std::move(coefs), rhs, kInf);
+}
+
 struct Var {
     double obj = 0.0;
     double lb = 0.0;

@@ -131,7 +131,8 @@ public:
     virtual bool check(Solver& solver, const std::vector<double>& x) = 0;
 
     /// Separate the current relaxation point; returns #cuts added via
-    /// solver.addCut(). Called for fractional and integral points.
+    /// solver.addCut() or solver.addCoveringCut(). Called for fractional
+    /// and integral points.
     virtual int separate(Solver& solver, const std::vector<double>& x) = 0;
 
     /// Enforce an integral relaxation solution that violates this handler's

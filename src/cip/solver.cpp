@@ -139,12 +139,7 @@ void Solver::initSolve() {
         params_.getInt("randomization/permutationseed", 0)));
     pseudo_.assign(n, {});
     cutPool_.clear();
-    pendingCuts_.clear();
-    pendingCutTokens_.clear();
-    retiredTokens_.clear();
-    // nextCutToken_ is deliberately NOT reset: tokens are unique over the
-    // Solver's lifetime, so a plugin pool surviving a re-init can never
-    // confuse an old token with a new cut.
+    dropPendingCuts();
     managedRows_.clear();
     lpBuilt_ = false;
     lpDualsFresh_ = false;
@@ -247,12 +242,12 @@ lp::SolveStatus Solver::flushPendingCutsToLp() {
     for (std::size_t k = 0; k < pendingCuts_.size(); ++k) {
         PoolCut pc;
         pc.row = std::move(pendingCuts_[k]);
-        pc.token = pendingCutTokens_[k];
+        pc.supportId = pendingSupportIds_[k];
         pc.lpIndex = base + static_cast<int>(k);
         cutPool_.push_back(std::move(pc));
     }
     pendingCuts_.clear();
-    pendingCutTokens_.clear();
+    pendingSupportIds_.clear();
     return st;
 }
 
@@ -397,13 +392,12 @@ void Solver::manageCutPool() {
     for (std::size_t i = 0; i < cutPool_.size(); ++i) {
         PoolCut& pc = cutPool_[i];
         if (pc.retired) {
-            // Plugin-initiated retirement: the plugin already dropped the
-            // cut from its own pool, no need to echo the token back.
+            // Dominance-retired: its support already left the index.
             ++stats_.cutsRetired;
         } else if (drop[i]) {
-            // Solver-initiated drop: report the token so pooling plugins
-            // unregister the cut and can re-admit it if it re-violates.
-            retiredTokens_.push_back(pc.token);
+            // Overflow drop: unindex the support, so the cut is admitted
+            // again if it re-violates.
+            unindexCut(pc.supportId);
             ++stats_.cutsRetired;
         } else {
             kept.push_back(std::move(pc));
@@ -1355,52 +1349,90 @@ std::optional<SubproblemDesc> Solver::extractOpenNode() {
     return desc;
 }
 
-std::int64_t Solver::addCut(Row row) {
-    const std::int64_t token = nextCutToken_++;
+void Solver::addCut(Row row) {
     pendingCuts_.push_back(std::move(row));
-    pendingCutTokens_.push_back(token);
-    return token;
+    pendingSupportIds_.push_back(-1);
 }
 
-void Solver::retireCuts(const std::vector<std::int64_t>& tokens) {
-    for (const std::int64_t tok : tokens) {
-        bool found = false;
-        for (std::size_t k = 0; k < pendingCutTokens_.size(); ++k) {
-            if (pendingCutTokens_[k] == tok) {
-                // Never reached the LP: drop it outright.
-                pendingCuts_.erase(pendingCuts_.begin() +
-                                   static_cast<std::ptrdiff_t>(k));
-                pendingCutTokens_.erase(pendingCutTokens_.begin() +
-                                        static_cast<std::ptrdiff_t>(k));
+bool Solver::addCoveringCut(const std::vector<int>& vars, int rhsClass) {
+    supportScratch_.assign(vars.begin(), vars.end());
+    std::sort(supportScratch_.begin(), supportScratch_.end());
+    supportScratch_.erase(
+        std::unique(supportScratch_.begin(), supportScratch_.end()),
+        supportScratch_.end());
+    int id = -1;
+    if (!supportScratch_.empty() && supportScratch_.front() >= 0 &&
+        supportScratch_.back() < model_.numVars()) {
+        switch (supports_.offer(supportScratch_, rhsClass, id,
+                                &evictScratch_)) {
+            case SupportPool::Verdict::Duplicate:
+                ++stats_.cutDupRejected;
+                return false;
+            case SupportPool::Verdict::Dominated:
+                ++stats_.cutDominatedRejected;
+                return false;
+            case SupportPool::Verdict::Admitted:
+                break;
+        }
+        stats_.cutDominatedEvicted +=
+            static_cast<std::int64_t>(evictScratch_.size());
+        stats_.cutPoolSize = supports_.size();
+        // Retire the evicted supersets: a pending row never reaches the LP,
+        // a pooled row leaves at the next manageCutPool().
+        for (const int ev : evictScratch_) {
+            const auto it = std::find(pendingSupportIds_.begin(),
+                                      pendingSupportIds_.end(), ev);
+            if (it != pendingSupportIds_.end()) {
+                const auto k = it - pendingSupportIds_.begin();
+                pendingCuts_.erase(pendingCuts_.begin() + k);
+                pendingSupportIds_.erase(it);
                 ++stats_.cutsRetired;
-                found = true;
-                break;
+                continue;
             }
+            for (PoolCut& pc : cutPool_)
+                if (pc.supportId == ev) {
+                    pc.supportId = -1;  // the id may be handed out again
+                    pc.retired = true;
+                    break;
+                }
         }
-        if (found) continue;
-        for (PoolCut& pc : cutPool_) {
-            if (pc.token == tok) {
-                pc.retired = true;  // removed at the next manageCutPool()
-                break;
-            }
-        }
+        if (id >= static_cast<int>(admitPos_.size()))
+            admitPos_.resize(static_cast<std::size_t>(id) + 1);
+        admitPos_[static_cast<std::size_t>(id)] = admitLog_.size();
+        admitLog_.push_back(id);
     }
+    pendingCuts_.push_back(coveringRow(vars, rhsClass));
+    pendingSupportIds_.push_back(id);
+    return true;
 }
 
-std::vector<std::int64_t> Solver::takeRetiredCutTokens() {
-    std::vector<std::int64_t> out = std::move(retiredTokens_);
-    retiredTokens_.clear();
-    return out;
+int Solver::takeAdmittedCuts(
+    int maxCuts,
+    const std::function<bool(const std::vector<int>&, int)>& sink) {
+    int accepted = 0;
+    while (admitCursor_ < admitLog_.size() && accepted < maxCuts) {
+        const std::size_t pos = admitCursor_++;
+        const int id = admitLog_[pos];
+        // Skip entries that left the pool, or whose id a later admission
+        // recycled (that one has its own log position).
+        if (!supports_.contains(id) ||
+            admitPos_[static_cast<std::size_t>(id)] != pos)
+            continue;
+        if (sink(supports_.vars(id), supports_.rhsClass(id))) ++accepted;
+    }
+    return accepted;
+}
+
+void Solver::unindexCut(int supportId) {
+    if (supportId < 0) return;
+    supports_.remove(supportId);
+    stats_.cutPoolSize = supports_.size();
 }
 
 void Solver::dropPendingCuts() {
-    // Pending cuts discarded before any LP flush (relaxator mode): report
-    // their tokens so pooling plugins unregister them — the pool must only
-    // mirror cuts that actually live in the solver.
-    for (const std::int64_t tok : pendingCutTokens_)
-        retiredTokens_.push_back(tok);
+    for (const int id : pendingSupportIds_) unindexCut(id);
     pendingCuts_.clear();
-    pendingCutTokens_.clear();
+    pendingSupportIds_.clear();
 }
 
 bool Solver::cutLpBindingConsistent() const {

@@ -26,6 +26,7 @@
 #include "cip/params.hpp"
 #include "cip/plugins.hpp"
 #include "cip/stats.hpp"
+#include "cip/supportpool.hpp"
 #include "lp/simplex.hpp"
 
 namespace cip {
@@ -122,20 +123,24 @@ public:
     ReduceResult tightenLb(int var, double v);
     ReduceResult tightenUb(int var, double v);
     /// Add a globally valid cutting plane (flushed once per separation
-    /// round). Returns a solver-lifetime token identifying the cut; plugins
-    /// that track cuts (dominance pools) use it to retire the cut later and
-    /// to recognize it among takeRetiredCutTokens().
-    std::int64_t addCut(Row row);
-    /// Retire cuts by token: a still-pending cut is dropped immediately, a
-    /// pooled cut is removed at the next manageCutPool() (its LP row goes
-    /// away with the scheduled rebuild). Used when a newly admitted cut
-    /// dominates older ones. Unknown tokens are ignored.
-    void retireCuts(const std::vector<std::int64_t>& tokens);
-    /// Tokens of cuts the solver itself dropped from its LP pool (aging or
-    /// overflow pruning) since the last call. Consuming read: pooling
-    /// plugins must unregister these so a later re-violated cut can be
-    /// re-admitted instead of being rejected as a duplicate.
-    std::vector<std::int64_t> takeRetiredCutTokens();
+    /// round). The row is never dominance-filtered.
+    void addCut(Row row);
+    /// Add the globally valid covering cut  sum_{v in vars} x_v >= rhsClass
+    /// through the solver's dominance filter (see src/cip/README.md).
+    /// Precondition: the variables are non-negative, which support
+    /// inclusion as dominance needs. Returns false, adding nothing, if an
+    /// identical or stronger covering cut of the same class is pooled. On
+    /// admission every pooled strict superset is retired. The row keeps
+    /// `vars` in the caller's order; a support that is empty or names a
+    /// variable outside [0, numVars) is added as a plain row.
+    bool addCoveringCut(const std::vector<int>& vars, int rhsClass = 1);
+    /// Hand covering cuts admitted since the last call to `sink` (sorted
+    /// support, RHS class), oldest first, until `sink` has accepted
+    /// `maxCuts` of them; the rest stay queued. Cuts no longer pooled are
+    /// skipped. Returns the number accepted.
+    int takeAdmittedCuts(
+        int maxCuts,
+        const std::function<bool(const std::vector<int>&, int)>& sink);
     /// Register a *managed* row: a row whose side bounds the owning plugin
     /// switches per node (constraint branching, e.g. SCIP-Jack's vertex
     /// branching). The row starts inactive (free). Returns a handle.
@@ -214,15 +219,15 @@ private:
     std::vector<double> lpLb_, lpUb_;  ///< bounds currently loaded in the LP
 
     /// One globally valid cut living in the solver's LP cut pool. The row,
-    /// its token, its LP position and its age travel together — the parallel
-    /// cutPool_/cutLpIndex_/cutAge_ arrays this replaces could (and did)
-    /// fall out of sync when pruning touched only some of them.
+    /// its support id, its LP position and its age travel together — the
+    /// parallel cutPool_/cutLpIndex_/cutAge_ arrays this replaces could (and
+    /// did) fall out of sync when pruning touched only some of them.
     /// Invariant: lpIndex is a valid row index of lp_ iff lpBuilt_ is true;
     /// every pool mutation that cannot patch the indices sets lpIndex = -1
     /// on all entries and schedules a rebuild (lpBuilt_ = false).
     struct PoolCut {
         Row row;
-        std::int64_t token = -1;  ///< stable id handed out by addCut()
+        int supportId = -1;       ///< id in supports_; -1: plain or retired
         int lpIndex = -1;         ///< LP row position (see invariant above)
         int age = 0;              ///< consecutive zero-dual checks
         bool retired = false;     ///< dominance-retired; drop at next manage
@@ -233,10 +238,17 @@ private:
                                   ///< the current duals are stale
     };
     std::vector<PoolCut> cutPool_;
-    std::vector<Row> pendingCuts_;               ///< rows awaiting LP flush
-    std::vector<std::int64_t> pendingCutTokens_; ///< parallel to pendingCuts_
-    std::int64_t nextCutToken_ = 0;
-    std::vector<std::int64_t> retiredTokens_;    ///< drops not yet taken
+    std::vector<Row> pendingCuts_;        ///< rows awaiting LP flush
+    std::vector<int> pendingSupportIds_;  ///< parallel to pendingCuts_
+    /// Supports of the covering cuts alive in cutPool_ or pendingCuts_.
+    SupportPool supports_;
+    std::vector<int> supportScratch_, evictScratch_;
+    /// Support ids in admission order, read by takeAdmittedCuts() from
+    /// admitCursor_ on. admitPos_[id] is the log position of the id's latest
+    /// admission, which tells a recycled id's new entry from a logged one.
+    std::vector<int> admitLog_;
+    std::vector<std::size_t> admitPos_;
+    std::size_t admitCursor_ = 0;
     struct ManagedRow {
         Row row;        ///< coefficients; stored bounds = currently set ones
         int lpIndex = -1;
@@ -285,8 +297,10 @@ private:
     /// when the stored duals are stale). Any removal invalidates all lpIndex
     /// entries and schedules an LP rebuild.
     void manageCutPool();
-    /// Discard pending (unflushed) cuts, reporting their tokens as retired.
+    /// Discard pending (unflushed) cuts, unindexing their supports.
     void dropPendingCuts();
+    /// Remove a covering cut's support from supports_ (no-op for -1).
+    void unindexCut(int supportId);
     /// Push changed variable bounds into the LP (rebuilding it when no LP
     /// exists). Returns the number of bound changes applied — solveLp() uses
     /// the count as the pricing-rule depth signal under "lp/pricing" = auto.

@@ -51,12 +51,12 @@ struct Stats {
     std::int64_t sepaRounds = 0;     ///< separation rounds that added cuts
     std::int64_t sepaLpRowsSum = 0;  ///< LP rows after each such round, summed
 
-    // Dominance cut-pool counters, added by pooling plugins (e.g. the
-    // Steiner conshdlr's CutPool).
+    // Cut-store counters, kept by the solver (Solver::addCoveringCut and
+    // the pool upkeep).
     std::int64_t cutDupRejected = 0;        ///< exact re-finds rejected
     std::int64_t cutDominatedRejected = 0;  ///< weaker incoming cuts rejected
     std::int64_t cutDominatedEvicted = 0;   ///< pooled cuts evicted by subsets
-    std::int64_t cutPoolSize = 0;           ///< plugin pool size (gauge)
+    std::int64_t cutPoolSize = 0;           ///< covering-cut index size (gauge)
     std::int64_t cutsRetired = 0;  ///< LP cut rows dropped (aging/dominance)
 
     // Cross-solver cut sharing (receiver side): supports delivered with the

@@ -88,28 +88,6 @@ StpConshdlr::StpConshdlr(const SapInstance& inst)
       engine_(inst),
       required_(inst.graph.numVertices(), 0) {}
 
-void StpConshdlr::syncRetiredCuts(cip::Solver& solver) {
-    for (const std::int64_t tok : solver.takeRetiredCutTokens()) {
-        auto it = poolIdOf_.find(tok);
-        if (it == poolIdOf_.end()) continue;  // not one of ours
-        pool_.remove(it->second);
-        tokenOf_.erase(it->second);
-        poolIdOf_.erase(it);
-    }
-}
-
-void StpConshdlr::reportPoolStats(cip::Solver& solver) {
-    const CutPoolStats& ps = pool_.stats();
-    cip::Stats& st = solver.stats();
-    st.cutDupRejected += ps.dupRejected - reportedPool_.dupRejected;
-    st.cutDominatedRejected +=
-        ps.dominatedRejected - reportedPool_.dominatedRejected;
-    st.cutDominatedEvicted +=
-        ps.dominatedEvicted - reportedPool_.dominatedEvicted;
-    st.cutPoolSize = static_cast<std::int64_t>(pool_.size());
-    reportedPool_ = ps;
-}
-
 void StpConshdlr::primeSharedCuts(cip::Solver& solver,
                                   const ug::CutBundle& cuts) {
     if (cuts.empty()) return;
@@ -164,7 +142,11 @@ void StpConshdlr::primeLocalSupports(std::vector<std::vector<int>> supports) {
 
 ug::CutBundle StpConshdlr::takeShareableCuts(int maxCuts) {
     ug::CutBundle bundle;
-    if (maxCuts > 0) pool_.exportNewAdmitted(bundle, maxCuts);
+    if (solver_)
+        solver_->takeAdmittedCuts(
+            maxCuts, [&](const std::vector<int>& vars, int rhsClass) {
+                return bundle.append(vars, rhsClass);
+            });
     return bundle;
 }
 
@@ -190,37 +172,8 @@ bool StpConshdlr::certifySupport(const std::vector<int>& vars) {
 
 bool StpConshdlr::admitCut(cip::Solver& solver, const std::vector<int>& vars,
                            bool dominance) {
-    int poolId = -1;
-    if (dominance) {
-        // Offer the support to the solver-lifetime pool; only cuts that
-        // survive duplicate + subset-dominance filtering reach the LP, and
-        // pooled supersets of the new cut are retired.
-        const CutPool::Verdict v = pool_.offer(vars, &poolId, &evictScratch_);
-        if (v == CutPool::Verdict::Duplicate ||
-            v == CutPool::Verdict::Dominated)
-            return false;  // an at-least-as-strong row already exists
-        if (v == CutPool::Verdict::Untracked) poolId = -1;
-        if (!evictScratch_.empty()) {
-            retireScratch_.clear();
-            for (int pid : evictScratch_) {
-                auto it = tokenOf_.find(pid);
-                if (it == tokenOf_.end()) continue;
-                retireScratch_.push_back(it->second);
-                poolIdOf_.erase(it->second);
-                tokenOf_.erase(it);
-            }
-            solver.retireCuts(retireScratch_);
-        }
-    }
-    std::vector<std::pair<int, double>> coefs;
-    coefs.reserve(vars.size());
-    for (int var : vars) coefs.emplace_back(var, 1.0);
-    const std::int64_t token =
-        solver.addCut(cip::Row(std::move(coefs), 1.0, cip::kInf));
-    if (poolId >= 0) {
-        tokenOf_[poolId] = token;
-        poolIdOf_[token] = poolId;
-    }
+    if (dominance) return solver.addCoveringCut(vars);
+    solver.addCut(cip::coveringRow(vars));
     return true;
 }
 
@@ -334,11 +287,7 @@ int StpConshdlr::separate(cip::Solver& solver, const std::vector<double>& x) {
     const CutSepaConfig cfg = sepaConfig(solver);
     const bool dominance =
         solver.params().getBool("stp/sepa/pooldominance", true);
-    // Mirror the solver's pool first: cuts it aged out of the LP since the
-    // last round must leave the dominance pool, or a later re-violation of
-    // the same cut would be rejected as a "duplicate" of a row that no
-    // longer exists.
-    syncRetiredCuts(solver);
+    solver_ = &solver;
 
     // Shared supports received from the coordinator activate first: they are
     // free (no max-flow solve), already filtered for relevance, and each one
@@ -351,7 +300,6 @@ int StpConshdlr::separate(cip::Solver& solver, const std::vector<double>& x) {
         activatePrimedCuts(solver, x, cfg.violationTol, dominance);
     if (primedAdded > 0) {
         solver.addCost(1);  // deterministic round charge, same as below
-        reportPoolStats(solver);
         return primedAdded;
     }
     engine_.beginRound(x, cfg);
@@ -406,12 +354,8 @@ int StpConshdlr::separate(cip::Solver& solver, const std::vector<double>& x) {
         cuts.clear();
         const int k =
             engine_.separateTarget(v, std::min(vertBudget, perTarget), cuts);
-        for (SteinerCut& c : cuts) {
-            std::vector<std::pair<int, double>> coefs;
-            coefs.reserve(c.vars.size());
-            for (int var : c.vars) coefs.emplace_back(var, 1.0);
-            const int handle = solver.addManagedRow(
-                cip::Row(std::move(coefs), 1.0, cip::kInf));
+        for (const SteinerCut& c : cuts) {
+            const int handle = solver.addManagedRow(cip::coveringRow(c.vars));
             solver.setManagedRowBounds(handle, 1.0, cip::kInf);
             localCuts_.emplace_back(v, handle);
         }
@@ -434,7 +378,6 @@ int StpConshdlr::separate(cip::Solver& solver, const std::vector<double>& x) {
     st.sepaMaxNestedDepth = std::max(st.sepaMaxNestedDepth, es.maxNestedDepth);
     st.sepaSeconds += seconds;
     reported_ = es;
-    reportPoolStats(solver);
     return termCuts + vertCuts;
 }
 

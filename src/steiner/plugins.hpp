@@ -20,10 +20,10 @@
 
 #include "cip/plugins.hpp"
 #include "cip/solver.hpp"
-#include "steiner/cutpool.hpp"
 #include "steiner/cutsep.hpp"
 #include "steiner/reduceengine.hpp"
 #include "steiner/stpmodel.hpp"
+#include "ug/cutbundle.hpp"
 
 namespace steiner {
 
@@ -60,9 +60,10 @@ public:
     /// some terminal from the root) during separate() before activation, so
     /// a corrupt or stale bundle can never inject an invalid row.
     void primeSharedCuts(cip::Solver& solver, const ug::CutBundle& cuts);
-    /// Serialize up to `maxCuts` newly pool-admitted supports (consuming
-    /// cursor; see CutPool::exportNewAdmitted) for piggybacking on
-    /// Status/Terminated messages.
+    /// Serialize up to `maxCuts` covering cuts newly admitted to the
+    /// solver's cut store (consuming cursor; see
+    /// cip::Solver::takeAdmittedCuts) for piggybacking on Status/Terminated
+    /// messages. Empty until separate() has run.
     ug::CutBundle takeShareableCuts(int maxCuts);
     /// Number of received-but-not-yet-activated shared supports (tests).
     std::size_t primedPending() const { return primed_.size(); }
@@ -77,19 +78,13 @@ public:
 private:
     CutSepaConfig sepaConfig(const cip::Solver& solver) const;
     std::vector<std::pair<int, double>> inArcCoefs(int v) const;
-    /// Drop cuts the solver aged out of its LP pool from the dominance pool
-    /// (consumes Solver::takeRetiredCutTokens), so they can be re-admitted.
-    void syncRetiredCuts(cip::Solver& solver);
-    /// Add the dominance pool's counters since the last report (and its
-    /// current size) to the solver statistics.
-    void reportPoolStats(cip::Solver& solver);
     /// Certification oracle for shared supports: true iff deleting the
     /// support's arcs leaves some terminal unreachable from the root, i.e.
     /// "sum of support arcs >= 1" holds for every feasible arborescence.
     bool certifySupport(const std::vector<int>& vars);
-    /// Add "sum of vars >= 1" as an LP cut. With `dominance`, the support
-    /// first passes the solver-lifetime pool (false: a duplicate or a
-    /// dominated support, nothing added) and pooled supersets are retired.
+    /// Add "sum of vars >= 1" as an LP cut. With `dominance`, it goes
+    /// through the solver's covering-cut filter (false: a duplicate or a
+    /// dominated support, nothing added).
     bool admitCut(cip::Solver& solver, const std::vector<int>& vars,
                   bool dominance);
     /// Activate violated+certified primed supports through admitCut;
@@ -103,17 +98,10 @@ private:
     std::vector<signed char> required_;  ///< current node: extra terminals
     std::unordered_map<int, int> vertexRow_;  ///< v -> managed indeg>=1 row
     std::vector<std::pair<int, int>> localCuts_;  ///< (vertex, row handle)
-
-    // Solver-lifetime dominance pool over the *global* terminal cuts (the
-    // node-local vertex cuts above are only valid while their vertex is
-    // required and must never enter it). Maps keep the pool ids and the
-    // solver's cut tokens in 1:1 correspondence.
-    CutPool pool_;
-    CutPoolStats reportedPool_;  ///< pool stats already pushed to the solver
-    std::unordered_map<int, std::int64_t> tokenOf_;   ///< pool id -> token
-    std::unordered_map<std::int64_t, int> poolIdOf_;  ///< token -> pool id
-    std::vector<int> evictScratch_;
-    std::vector<std::int64_t> retireScratch_;
+    /// The solver whose cut store holds this handler's covering cuts (only
+    /// the global terminal cuts: the node-local vertex cuts above are
+    /// managed rows). Set by separate(), the only place cuts are admitted.
+    cip::Solver* solver_ = nullptr;
 
     // Shared/local supports waiting for activation. cert: 0 = not yet
     // certified, 1 = certified valid (certification runs once; invalid

@@ -60,14 +60,16 @@ public:
             CutSupport cs;
             cs.rhsClass = rhs;
             cs.vars.resize(static_cast<std::size_t>(k));
-            std::int32_t v = blob_[pos++];
+            // Summed in 64 bits: a corrupt delta must fail the bundle, not
+            // overflow into a negative id.
+            std::int64_t v = blob_[pos++];
             if (v < 0) return fail(out, outStart);
-            cs.vars[0] = v;
+            cs.vars[0] = static_cast<int>(v);
             for (std::int32_t i = 1; i < k; ++i) {
                 const std::int32_t d = blob_[pos++];
-                if (d < 1) return fail(out, outStart);
                 v += d;
-                cs.vars[static_cast<std::size_t>(i)] = v;
+                if (d < 1 || v > INT32_MAX) return fail(out, outStart);
+                cs.vars[static_cast<std::size_t>(i)] = static_cast<int>(v);
             }
             out.push_back(std::move(cs));
         }

@@ -1,11 +1,11 @@
 // LoadCoordinator-side global cut pool (cross-solver cut sharing).
 //
-// Solvers piggyback their newly admitted dominance-pool supports on
+// Solvers piggyback the supports newly admitted to their cut store on
 // Status/Terminated/RacingFinished messages; the LoadCoordinator merges them
 // here. Dominance filtering (duplicate rejection, subset-dominance
 // rejection, retroactive superset eviction within an RHS class) is
-// cip::SupportPool's, the engine the per-solver steiner::CutPool runs on
-// too; see src/cip/README.md. This class keeps the sharing record per
+// cip::SupportPool's, the engine under each cip::Solver's cut store too;
+// see src/cip/README.md. This class keeps the sharing record per
 // pooled support and attaches a relevance-filtered bundle to every
 // Subproblem / RacingSubproblem assignment, so a receiving solver starts
 // from the fleet's accumulated root cuts instead of an empty pool.

@@ -144,6 +144,92 @@ TEST(CipCutPool, AgingKeepsSolverCorrect) {
     EXPECT_GT(s.stats().cutsAdded, 0);
 }
 
+namespace {
+
+/// Covering-cut supports, one batch per separation round.
+using CoverScript = std::vector<std::vector<std::vector<int>>>;
+
+/// Offers one scripted batch of covering cuts per separation round and
+/// counts the admitted ones.
+class ScriptedCoverSeparator : public cip::Separator {
+public:
+    explicit ScriptedCoverSeparator(CoverScript rounds)
+        : Separator("scripted", 0), rounds_(std::move(rounds)) {}
+    int separate(Solver& solver, const std::vector<double>&) override {
+        if (next_ >= rounds_.size()) return 0;
+        int added = 0;
+        for (const std::vector<int>& vars : rounds_[next_])
+            if (solver.addCoveringCut(vars)) ++added;
+        ++next_;
+        admitted += added;
+        return added;
+    }
+    int admitted = 0;
+
+private:
+    CoverScript rounds_;
+    std::size_t next_ = 0;
+};
+
+}  // namespace
+
+TEST(CipCutPool, OverflowDroppedCoveringCutIsAdmittedAgain) {
+    Model m = knapsack({3, 5, 7, 9, 11, 6, 4}, {2, 3, 4, 5, 6, 3, 2}, 10);
+    const int y = m.numVars();
+    for (int k = 0; k < 4; ++k) m.addVar(1.0 + k, 0.0, 1.0, true);
+    m.addLinear(Row({{y, 1.0}, {y + 1, 1.0}}, 1.0, kInf));
+    m.addLinear(Row({{y + 2, 1.0}, {y + 3, 1.0}}, 1.0, kInf));
+    Solver s;
+    s.setModel(std::move(m));
+    // Both cuts are offered in every round.
+    auto sepa = std::make_unique<ScriptedCoverSeparator>(
+        CoverScript(64, {{y, y + 1}, {y + 2, y + 3}}));
+    ScriptedCoverSeparator* cover = sepa.get();
+    s.addSeparator(std::move(sepa));
+    // Room for one of the two cuts: every node entry drops the other one
+    // from the LP pool, and with it its support from the index.
+    s.params().setInt("separating/maxpoolsize", 1);
+    ASSERT_EQ(s.solve(), Status::Optimal);
+    EXPECT_NEAR(s.incumbent().obj, -19.0 + 1.0 + 3.0, 1e-6);
+    EXPECT_GT(s.stats().nodesProcessed, 1);
+    EXPECT_GT(s.stats().cutsRetired, 0);
+    // Both cuts entered once; every further admission is a dropped cut
+    // that was offered again and admitted instead of bouncing off as a
+    // duplicate of a row the LP no longer has.
+    EXPECT_GT(cover->admitted, 2);
+    EXPECT_EQ(s.stats().cutDominatedRejected, 0);
+}
+
+TEST(CipCutPool, RetiredRowGivesUpItsSupportId) {
+    // Covering vars 0..6 (rows x0 + x1 >= 1 and x5 >= 1 make every scripted
+    // cut valid) next to a knapsack whose fractional LP forces a second
+    // node, where manageCutPool() sweeps the retired rows.
+    Model m;
+    for (int j = 0; j < 7; ++j) m.addVar(1.0, 0.0, 1.0, true);
+    m.addLinear(Row({{0, 1.0}, {1, 1.0}}, 1.0, kInf));
+    m.addLinear(Row({{5, 1.0}}, 1.0, kInf));
+    const std::vector<double> value{3, 5, 7, 9, 11, 6, 4};
+    const std::vector<double> weight{2, 3, 4, 5, 6, 3, 2};
+    std::vector<std::pair<int, double>> knap;
+    for (std::size_t k = 0; k < value.size(); ++k)
+        knap.emplace_back(m.addVar(-value[k], 0.0, 1.0, true), weight[k]);
+    m.addLinear(Row(std::move(knap), -kInf, 10));
+    Solver s;
+    s.setModel(std::move(m));
+    // Round 1 pools {0,1,2}. Round 2: {0,1} retires it and frees its id,
+    // which {5,6} takes. Round 3: {5} must retire {5,6}, not the retired
+    // {0,1,2} row that once held the same id.
+    s.addSeparator(std::make_unique<ScriptedCoverSeparator>(
+        CoverScript{{{0, 1, 2}}, {{0, 1}, {5, 6}}, {{5}}}));
+    s.params().setReal("separating/tailoffeps", -1.0);
+    ASSERT_EQ(s.solve(), Status::Optimal);
+    EXPECT_NEAR(s.incumbent().obj, 2.0 - 19.0, 1e-6);
+    EXPECT_GT(s.stats().nodesProcessed, 1);
+    EXPECT_EQ(s.stats().cutDominatedEvicted, 2);
+    EXPECT_EQ(s.stats().cutsRetired, 2);
+    EXPECT_EQ(s.stats().cutPoolSize, 2);  // {0,1} and {5}
+}
+
 TEST(CipLimits, CostLimitStops) {
     Model m = knapsack({3, 5, 7, 9, 11, 6, 4, 8, 2, 9},
                        {2, 3, 4, 5, 6, 3, 2, 4, 1, 5}, 15);

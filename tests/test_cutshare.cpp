@@ -14,7 +14,7 @@
 #include <utility>
 #include <vector>
 
-#include "steiner/cutpool.hpp"
+#include "cip/solver.hpp"
 #include "steiner/exactdp.hpp"
 #include "steiner/instances.hpp"
 #include "steiner/plugins.hpp"
@@ -75,6 +75,26 @@ TEST(CutBundle, RoundTripPropertyRandomized) {
         ASSERT_TRUE(b.decode(got));
         EXPECT_EQ(got.size(), 2 * expected.size());
     }
+}
+
+TEST(CutBundle, DeltaSumPastInt32IsRejected) {
+    // Bit 30 flipped in transit in both the first var and the delta of
+    // {5, 6}: the ids would sum past INT32_MAX, which used to wrap to a
+    // negative id.
+    ug::CutBundle b;
+    ASSERT_TRUE(b.append({5, 6}));
+    b.flipWireBit(2, 30);
+    b.flipWireBit(3, 30);
+    std::vector<ug::CutSupport> out(1);
+    out[0].vars = {9};
+    EXPECT_FALSE(b.decode(out));
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].vars, (std::vector<int>{9}));
+
+    ug::CutBundle restored;
+    EXPECT_FALSE(restored.restoreWire(b.count(), b.wire()));
+    EXPECT_TRUE(restored.empty());
+    EXPECT_EQ(restored.wireWords(), 0u);
 }
 
 // --- LC global pool vs brute-force antichain oracle ---------------------------
@@ -229,13 +249,19 @@ TEST(GlobalCutPool, CapacityEvictsOldestTouched) {
 // --- solver-side export cursor ------------------------------------------------
 
 TEST(CutShare, ExportNewAdmittedSkipsEvictedAndConsumes) {
-    steiner::CutPool pool;
-    ASSERT_EQ(pool.offer({1, 2, 3}), steiner::CutPool::Verdict::Admitted);
-    // {2,3} evicts the superset before anything was exported.
-    ASSERT_EQ(pool.offer({2, 3}), steiner::CutPool::Verdict::Admitted);
-
+    cip::Solver solver;
+    cip::Model m;
+    for (int j = 0; j < 8; ++j) m.addVar(1.0, 0.0, 1.0, true);
+    solver.setModel(std::move(m));
     ug::CutBundle b;
-    EXPECT_EQ(pool.exportNewAdmitted(b, 16), 1);
+    const auto toBundle = [&b](const std::vector<int>& vars, int rhsClass) {
+        return b.append(vars, rhsClass);
+    };
+    ASSERT_TRUE(solver.addCoveringCut({1, 2, 3}));
+    // {2,3} evicts the superset before anything was exported.
+    ASSERT_TRUE(solver.addCoveringCut({3, 2}));
+
+    EXPECT_EQ(solver.takeAdmittedCuts(16, toBundle), 1);
     std::vector<ug::CutSupport> got;
     ASSERT_TRUE(b.decode(got));
     ASSERT_EQ(got.size(), 1u);
@@ -243,12 +269,12 @@ TEST(CutShare, ExportNewAdmittedSkipsEvictedAndConsumes) {
     EXPECT_EQ(got[0].rhsClass, 1);
 
     // The cursor consumed everything; only later admissions export.
-    ug::CutBundle b2;
-    EXPECT_EQ(pool.exportNewAdmitted(b2, 16), 0);
-    ASSERT_EQ(pool.offer({5, 6}), steiner::CutPool::Verdict::Admitted);
-    EXPECT_EQ(pool.exportNewAdmitted(b2, 16), 1);
+    b.clear();
+    EXPECT_EQ(solver.takeAdmittedCuts(16, toBundle), 0);
+    ASSERT_TRUE(solver.addCoveringCut({5, 6}));
+    EXPECT_EQ(solver.takeAdmittedCuts(16, toBundle), 1);
     got.clear();
-    ASSERT_TRUE(b2.decode(got));
+    ASSERT_TRUE(b.decode(got));
     ASSERT_EQ(got.size(), 1u);
     EXPECT_EQ(got[0].vars, (std::vector<int>{5, 6}));
 }

@@ -1,10 +1,11 @@
-// The solver-lifetime dominance-filtered cut pool: randomized verdicts and
-// eviction sets against a brute-force subset oracle, pool/LP binding
-// consistency across aging and overflow pruning (the stale cutLpIndex_
-// regression), warm-vs-cold separation equivalence with the pool enabled,
-// and the LP-leanness property — dominance filtering keeps the mean LP rows
-// per separation round at or below the append-only baseline without
-// weakening the root dual bound.
+// The cut store's dominance engine and the Steiner handler on top of it:
+// cip::SupportPool verdicts and eviction sets against a brute-force subset
+// oracle, cip::Solver::addCoveringCut normalisation and its untracked path,
+// pool/LP binding consistency across aging and overflow pruning (the stale
+// cutLpIndex_ regression), warm-vs-cold separation equivalence with the
+// pool enabled, and the LP-leanness property — dominance filtering keeps
+// the mean LP rows per separation round at or below the append-only
+// baseline without weakening the root dual bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +15,7 @@
 #include <vector>
 
 #include "cip/solver.hpp"
-#include "steiner/cutpool.hpp"
+#include "cip/supportpool.hpp"
 #include "steiner/instances.hpp"
 #include "steiner/plugins.hpp"
 #include "steiner/reductions.hpp"
@@ -22,96 +23,116 @@
 #include "steiner/stpsolver.hpp"
 
 using namespace steiner;
+using cip::SupportPool;
 
 // --- pool unit behaviour ------------------------------------------------------
 
 TEST(CutPool, DuplicateAndDominanceBasics) {
-    CutPool pool;
+    SupportPool pool;
     int id123 = -1;
+    int id = -1;
     std::vector<int> evicted;
 
-    ASSERT_EQ(pool.offer({1, 2, 3}, &id123, &evicted),
-              CutPool::Verdict::Admitted);
+    ASSERT_EQ(pool.offer({1, 2, 3}, 1, id123, &evicted),
+              SupportPool::Verdict::Admitted);
     EXPECT_TRUE(evicted.empty());
     EXPECT_TRUE(pool.contains(id123));
-    EXPECT_EQ(pool.size(), 1u);
+    EXPECT_EQ(pool.size(), 1);
 
-    // Exact duplicate (unsorted, with repeats) is rejected.
-    EXPECT_EQ(pool.offer({3, 1, 2, 2}), CutPool::Verdict::Duplicate);
+    // Exact duplicate is rejected and names the pooled entry.
+    EXPECT_EQ(pool.offer({1, 2, 3}, 1, id), SupportPool::Verdict::Duplicate);
+    EXPECT_EQ(id, id123);
     // Strict superset of a pooled cut is weaker: rejected.
-    EXPECT_EQ(pool.offer({1, 2, 3, 4}), CutPool::Verdict::Dominated);
-    EXPECT_EQ(pool.size(), 1u);
+    EXPECT_EQ(pool.offer({1, 2, 3, 4}, 1, id),
+              SupportPool::Verdict::Dominated);
+    EXPECT_EQ(id, id123);
+    EXPECT_EQ(pool.size(), 1);
 
     // A strict subset is stronger: admitted, evicting the pooled superset.
     int id23 = -1;
-    ASSERT_EQ(pool.offer({2, 3}, &id23, &evicted),
-              CutPool::Verdict::Admitted);
+    ASSERT_EQ(pool.offer({2, 3}, 1, id23, &evicted),
+              SupportPool::Verdict::Admitted);
     ASSERT_EQ(evicted.size(), 1u);
     EXPECT_EQ(evicted[0], id123);
     EXPECT_FALSE(pool.contains(id123));
     EXPECT_TRUE(pool.contains(id23));
-    EXPECT_EQ(pool.size(), 1u);
+    EXPECT_EQ(pool.size(), 1);
 
     // Disjoint support coexists.
-    EXPECT_EQ(pool.offer({7, 9}), CutPool::Verdict::Admitted);
-    EXPECT_EQ(pool.size(), 2u);
+    EXPECT_EQ(pool.offer({7, 9}, 1, id), SupportPool::Verdict::Admitted);
+    EXPECT_EQ(pool.size(), 2);
 
     // One subset can evict several pooled supersets at once.
-    ASSERT_EQ(pool.offer({2, 3, 7}), CutPool::Verdict::Dominated);
+    ASSERT_EQ(pool.offer({2, 3, 7}, 1, id), SupportPool::Verdict::Dominated);
     int id3 = -1;
-    ASSERT_EQ(pool.offer({3}, &id3, &evicted), CutPool::Verdict::Admitted);
+    ASSERT_EQ(pool.offer({3}, 1, id3, &evicted),
+              SupportPool::Verdict::Admitted);
     ASSERT_EQ(evicted.size(), 1u);
     EXPECT_EQ(evicted[0], id23);
-    EXPECT_EQ(pool.size(), 2u);  // {3} and {7,9}
-
-    const CutPoolStats& s = pool.stats();
-    EXPECT_EQ(s.offered, 7);
-    EXPECT_EQ(s.admitted, 4);
-    EXPECT_EQ(s.dupRejected, 1);
-    EXPECT_EQ(s.dominatedRejected, 2);
-    EXPECT_EQ(s.dominatedEvicted, 2);
+    EXPECT_EQ(pool.size(), 2);  // {3} and {7,9}
+    EXPECT_EQ(pool.vars(id3), (std::vector<int>{3}));
 }
 
 TEST(CutPool, RemoveAllowsReadmission) {
-    CutPool pool;
+    SupportPool pool;
     int id = -1;
-    ASSERT_EQ(pool.offer({0, 5}, &id), CutPool::Verdict::Admitted);
-    EXPECT_EQ(pool.offer({0, 5}), CutPool::Verdict::Duplicate);
+    int other = -1;
+    ASSERT_EQ(pool.offer({0, 5}, 1, id), SupportPool::Verdict::Admitted);
+    EXPECT_EQ(pool.offer({0, 5}, 1, other), SupportPool::Verdict::Duplicate);
     pool.remove(id);
     EXPECT_FALSE(pool.contains(id));
-    EXPECT_EQ(pool.size(), 0u);
-    // After removal (= the solver aged the row out of its LP) the identical
-    // cut is no longer a duplicate — the re-admission the lifecycle contract
-    // with the conshdlr depends on.
-    EXPECT_EQ(pool.offer({0, 5}), CutPool::Verdict::Admitted);
-    EXPECT_EQ(pool.size(), 1u);
-    // Empty supports are never tracked and leave no trace.
-    int untouched = -7;
-    std::vector<int> evicted{42};
-    EXPECT_EQ(pool.offer({}, &untouched, &evicted),
-              CutPool::Verdict::Untracked);
-    EXPECT_EQ(untouched, -7);
-    EXPECT_TRUE(evicted.empty());
-    EXPECT_EQ(pool.size(), 1u);
-    EXPECT_EQ(pool.stats().untracked, 1);
+    EXPECT_EQ(pool.size(), 0);
+    // After removal (= the solver dropped the row from its LP pool) the
+    // identical cut is no longer a duplicate, and it reuses the freed id.
+    EXPECT_EQ(pool.offer({0, 5}, 1, other), SupportPool::Verdict::Admitted);
+    EXPECT_EQ(other, id);
+    EXPECT_EQ(pool.size(), 1);
+    // Removing a dead id is a no-op.
+    pool.remove(id + 1);
+    EXPECT_EQ(pool.size(), 1);
 }
 
 TEST(CutPool, NegativeIdsAreNotPooled) {
-    // A support with a negative variable id names no model variable; it is
-    // left out like an empty one, so it can neither dominate nor be evicted.
-    CutPool pool;
-    int untouched = -7;
-    std::vector<int> evicted{42};
-    EXPECT_EQ(pool.offer({-1, 2}, &untouched, &evicted),
-              CutPool::Verdict::Untracked);
-    EXPECT_EQ(untouched, -7);
-    EXPECT_TRUE(evicted.empty());
-    EXPECT_EQ(pool.size(), 0u);
-    int id2 = -1;
-    ASSERT_EQ(pool.offer({2}, &id2, &evicted), CutPool::Verdict::Admitted);
-    EXPECT_TRUE(evicted.empty());
-    EXPECT_EQ(pool.size(), 1u);
-    EXPECT_EQ(pool.stats().untracked, 1);
+    // A support with a variable id outside [0, numVars) names no model
+    // variable; addCoveringCut adds its row but never indexes it, so it can
+    // neither dominate nor be evicted. The same holds for an empty support.
+    cip::Solver solver;
+    cip::Model m;
+    for (int j = 0; j < 4; ++j) m.addVar(1.0, 0.0, 1.0, true);
+    solver.setModel(std::move(m));
+    EXPECT_TRUE(solver.addCoveringCut({-1, 2}));
+    EXPECT_TRUE(solver.addCoveringCut({-1, 2}));  // never a duplicate
+    EXPECT_TRUE(solver.addCoveringCut({2, 4}));   // 4 is past numVars
+    EXPECT_TRUE(solver.addCoveringCut({}));
+    EXPECT_EQ(solver.pendingCutCount(), 4u);
+    EXPECT_EQ(solver.stats().cutPoolSize, 0);
+    // {2} would evict any indexed superset; none of the rows above is.
+    EXPECT_TRUE(solver.addCoveringCut({2}));
+    EXPECT_EQ(solver.pendingCutCount(), 5u);
+    EXPECT_EQ(solver.stats().cutPoolSize, 1);
+    EXPECT_EQ(solver.stats().cutDominatedEvicted, 0);
+    EXPECT_EQ(solver.stats().cutsRetired, 0);
+}
+
+TEST(CutPool, UnsortedAndRepeatedIdsAreNormalised) {
+    cip::Solver solver;
+    cip::Model m;
+    for (int j = 0; j < 8; ++j) m.addVar(1.0, 0.0, 1.0, true);
+    solver.setModel(std::move(m));
+    ASSERT_TRUE(solver.addCoveringCut({3, 1, 2}));
+    // The same support unsorted with a repeat is a duplicate, a superset is
+    // dominated; neither adds a row.
+    EXPECT_FALSE(solver.addCoveringCut({3, 1, 2, 2}));
+    EXPECT_FALSE(solver.addCoveringCut({4, 2, 3, 1}));
+    EXPECT_EQ(solver.pendingCutCount(), 1u);
+    EXPECT_EQ(solver.stats().cutDupRejected, 1);
+    EXPECT_EQ(solver.stats().cutDominatedRejected, 1);
+    // A stronger subset retires the still-pending superset row.
+    ASSERT_TRUE(solver.addCoveringCut({3, 3, 2}));
+    EXPECT_EQ(solver.pendingCutCount(), 1u);
+    EXPECT_EQ(solver.stats().cutDominatedEvicted, 1);
+    EXPECT_EQ(solver.stats().cutsRetired, 1);
+    EXPECT_EQ(solver.stats().cutPoolSize, 1);
 }
 
 // --- randomized verdicts vs a brute-force dominance oracle --------------------
@@ -123,20 +144,19 @@ namespace {
 struct OraclePool {
     std::map<int, std::set<int>> alive;  // pool id -> support
 
-    CutPool::Verdict offer(const std::set<int>& s,
-                           std::vector<int>& evicted) const {
+    SupportPool::Verdict offer(const std::set<int>& s,
+                               std::vector<int>& evicted) const {
         evicted.clear();
-        if (s.empty()) return CutPool::Verdict::Untracked;
         for (const auto& [id, p] : alive) {
-            if (p == s) return CutPool::Verdict::Duplicate;
+            if (p == s) return SupportPool::Verdict::Duplicate;
             if (std::includes(s.begin(), s.end(), p.begin(), p.end()))
-                return CutPool::Verdict::Dominated;
+                return SupportPool::Verdict::Dominated;
         }
         for (const auto& [id, p] : alive)
             if (p.size() > s.size() &&
                 std::includes(p.begin(), p.end(), s.begin(), s.end()))
                 evicted.push_back(id);
-        return CutPool::Verdict::Admitted;
+        return SupportPool::Verdict::Admitted;
     }
 };
 
@@ -146,7 +166,7 @@ TEST(CutPool, RandomizedOpsMatchBruteForceOracle) {
     std::mt19937 rng(20260807);
     const int numVars = 12;
     for (int trial = 0; trial < 40; ++trial) {
-        CutPool pool;
+        SupportPool pool;
         OraclePool oracle;
         std::uniform_int_distribution<int> supportSize(1, 5);
         std::uniform_int_distribution<int> var(0, numVars - 1);
@@ -154,7 +174,7 @@ TEST(CutPool, RandomizedOpsMatchBruteForceOracle) {
 
         for (int step = 0; step < 300; ++step) {
             if (op(rng) == 0 && !oracle.alive.empty()) {
-                // Random removal (models the solver aging a cut out).
+                // Random removal (models the solver dropping a cut's row).
                 auto it = oracle.alive.begin();
                 std::advance(it, static_cast<long>(
                                      rng() % oracle.alive.size()));
@@ -167,16 +187,19 @@ TEST(CutPool, RandomizedOpsMatchBruteForceOracle) {
                     static_cast<std::size_t>(supportSize(rng)));
                 for (int& v : support) v = var(rng);
                 const std::set<int> s(support.begin(), support.end());
+                const std::vector<int> sorted(s.begin(), s.end());
 
                 std::vector<int> expectEvicted;
-                const CutPool::Verdict expect = oracle.offer(s, expectEvicted);
+                const SupportPool::Verdict expect =
+                    oracle.offer(s, expectEvicted);
 
                 int id = -1;
                 std::vector<int> evicted;
-                const CutPool::Verdict got = pool.offer(support, &id, &evicted);
+                const SupportPool::Verdict got =
+                    pool.offer(sorted, 1, id, &evicted);
                 ASSERT_EQ(got, expect)
                     << "trial " << trial << " step " << step;
-                if (expect == CutPool::Verdict::Admitted) {
+                if (expect == SupportPool::Verdict::Admitted) {
                     std::sort(expectEvicted.begin(), expectEvicted.end());
                     std::sort(evicted.begin(), evicted.end());
                     ASSERT_EQ(evicted, expectEvicted)
@@ -186,14 +209,11 @@ TEST(CutPool, RandomizedOpsMatchBruteForceOracle) {
                     ASSERT_EQ(oracle.alive.count(id), 0u)
                         << "pool reused a live id";
                     oracle.alive[id] = s;
-                    // The stored signature is the sorted unique support.
                     ASSERT_TRUE(pool.contains(id));
-                    ASSERT_EQ(std::set<int>(pool.support(id).begin(),
-                                            pool.support(id).end()),
-                              s);
+                    ASSERT_EQ(pool.vars(id), sorted);
                 }
             }
-            ASSERT_EQ(pool.size(), oracle.alive.size())
+            ASSERT_EQ(pool.size(), static_cast<int>(oracle.alive.size()))
                 << "trial " << trial << " step " << step;
         }
         // The surviving pool is an antichain: no pooled support contains
@@ -394,7 +414,7 @@ TEST(StpCutPool, DominanceKeepsLpRowsPerRoundAtOrBelowAppendOnly) {
 }
 
 TEST(StpCutPool, PoolCountersReachSolverStats) {
-    // End-to-end: the conshdlr's CutPool deltas land in cip::Stats, where
+    // End-to-end: the core's cut-store counters land in cip::Stats, where
     // the UG layer's LpEffort report picks them up.
     Graph g = genHypercube(4, true, 1);
     ReductionStats none;
