@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks for the computational kernels under the
 // solvers: simplex (cold/warm), max-flow separation, symmetric eigen, dual
-// ascent, reduction package and the SDP interior-point method.
+// ascent, reduction package and the SDP interior-point method (random dense
+// blocks and the MISDP root relaxations).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -10,6 +11,8 @@
 #include "linalg/eigen.hpp"
 #include "lp/dense_simplex.hpp"
 #include "lp/simplex.hpp"
+#include "misdp/instances.hpp"
+#include "misdp/plugins.hpp"
 #include "sdp/ipm.hpp"
 #include "steiner/cutsep.hpp"
 #include "steiner/plugins.hpp"
@@ -307,9 +310,9 @@ BENCHMARK(BM_StpSeparationRoundRebuild)->Arg(4)->Arg(6)->Arg(8);
 
 /// Dominance-filter throughput: a deck of 0/1 ">= 1" cut supports shaped
 /// like a long separation run — mostly fresh cuts, with a tail of exact
-/// re-discoveries and widened (superset) variants — streamed through
-/// cip::SupportPool, the engine under the solver's cut store. Counters
-/// report the filter verdict mix per offer.
+/// re-discoveries and widened (superset) variants — offered in order to
+/// cip::SupportPool, the engine under the solver's cut store. Items are
+/// offers; counters report the filter verdict mix per offer over one deck.
 void BM_CutPoolFilter(benchmark::State& state) {
     const int nvars = static_cast<int>(state.range(0));
     std::mt19937 rng(23u * static_cast<unsigned>(nvars) + 5u);
@@ -341,27 +344,33 @@ void BM_CutPoolFilter(benchmark::State& state) {
         std::sort(s.begin(), s.end());
         s.erase(std::unique(s.begin(), s.end()), s.end());
     }
+    // One iteration offers the whole deck once to a fresh pool, so the
+    // verdict rates do not depend on the iteration count.
     cip::SupportPool pool;
     std::vector<int> evicted;
     std::int64_t verdicts[3] = {0, 0, 0};  // Admitted, Duplicate, Dominated
     std::int64_t evictions = 0;
-    std::size_t i = 0;
     for (auto _ : state) {
-        int id = -1;
-        const cip::SupportPool::Verdict v =
-            pool.offer(deck[i % deck.size()], 1, id, &evicted);
-        benchmark::DoNotOptimize(id);
-        ++verdicts[static_cast<int>(v)];
-        evictions += static_cast<std::int64_t>(evicted.size());
-        ++i;
+        state.PauseTiming();
+        pool = cip::SupportPool{};
+        state.ResumeTiming();
+        for (const std::vector<int>& s : deck) {
+            int id = -1;
+            const cip::SupportPool::Verdict v =
+                pool.offer(s, 1, id, &evicted);
+            benchmark::DoNotOptimize(id);
+            ++verdicts[static_cast<int>(v)];
+            evictions += static_cast<std::int64_t>(evicted.size());
+        }
     }
-    state.SetItemsProcessed(state.iterations());
-    const double offers =
-        static_cast<double>(std::max<std::int64_t>(1, state.iterations()));
-    state.counters["admit_rate"] = static_cast<double>(verdicts[0]) / offers;
-    state.counters["dup_rate"] = static_cast<double>(verdicts[1]) / offers;
-    state.counters["dom_rate"] = static_cast<double>(verdicts[2]) / offers;
-    state.counters["evict_rate"] = static_cast<double>(evictions) / offers;
+    const std::int64_t offers =
+        state.iterations() * static_cast<std::int64_t>(deck.size());
+    state.SetItemsProcessed(offers);
+    const double n = static_cast<double>(std::max<std::int64_t>(1, offers));
+    state.counters["admit_rate"] = static_cast<double>(verdicts[0]) / n;
+    state.counters["dup_rate"] = static_cast<double>(verdicts[1]) / n;
+    state.counters["dom_rate"] = static_cast<double>(verdicts[2]) / n;
+    state.counters["evict_rate"] = static_cast<double>(evictions) / n;
     state.counters["pool_size"] = static_cast<double>(pool.size());
 }
 BENCHMARK(BM_CutPoolFilter)->Arg(256)->Arg(1024)->Arg(4096);
@@ -586,6 +595,31 @@ void BM_SdpInteriorPoint(benchmark::State& state) {
     for (auto _ : state) benchmark::DoNotOptimize(sdp::solveSdp(p));
 }
 BENCHMARK(BM_SdpInteriorPoint)->Arg(4)->Arg(8)->Arg(16);
+
+/// The SDP relaxator's root solve on one MISDP family member, built by
+/// misdp::relaxationProblem: sparse constraint matrices in the dense
+/// blocks and one 1x1 block per linear row and variable bound.
+void BM_SdpRelaxation(benchmark::State& state, misdp::MisdpProblem (*gen)(),
+                      const char* instance) {
+    const misdp::MisdpProblem prob = gen();
+    const sdp::SdpProblem sp = misdp::relaxationProblem(prob);
+    sdp::SdpResult r;
+    for (auto _ : state) {
+        r = sdp::solveSdp(sp);
+        benchmark::DoNotOptimize(r.upperBound);
+    }
+    state.SetLabel(instance);
+    state.counters["ipm_iters"] = r.iterations;
+    state.counters["blocks"] = static_cast<double>(sp.blocks.size());
+}
+BENCHMARK_CAPTURE(BM_SdpRelaxation, mkp,
+                  [] { return misdp::genMinKPartition(8, 3, 2); }, "mkp8-3");
+BENCHMARK_CAPTURE(BM_SdpRelaxation, cls,
+                  [] { return misdp::genCardinalityLS(8, 12, 3, 2); },
+                  "cls8-12-3");
+BENCHMARK_CAPTURE(BM_SdpRelaxation, ttd,
+                  [] { return misdp::genTrussTopology(3, 3, 1.8, 1); },
+                  "ttd3x3");
 
 }  // namespace
 

@@ -1,5 +1,7 @@
 #include "misdp/io.hpp"
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <fstream>
 #include <map>
@@ -10,7 +12,18 @@ namespace misdp {
 
 namespace {
 constexpr double kBoundInf = 1e29;
+
+/// Largest variable count, block count and block dimension the reader
+/// accepts. Blocks are stored dense, so the summed dim^2 of the SDP blocks
+/// is capped at its square (8 MB of doubles) too; every cap is checked
+/// before the header sizes allocate anything.
+constexpr int kMaxSdpaSize = 1024;
+
+bool blankLine(const std::string& line) {
+    return std::all_of(line.begin(), line.end(),
+                       [](unsigned char c) { return std::isspace(c) != 0; });
 }
+}  // namespace
 
 bool writeSdpa(std::ostream& os, const MisdpProblem& prob) {
     os << "\"" << (prob.name.empty() ? "misdp" : prob.name) << "\"\n";
@@ -99,7 +112,8 @@ bool writeSdpa(std::ostream& os, const MisdpProblem& prob) {
 }
 
 std::optional<MisdpProblem> readSdpa(std::istream& is) {
-    // Tolerant line-based parser for the subset written above.
+    // Line-based parser for the subset written above. A file it cannot read
+    // in full is rejected, never guessed at.
     std::string line;
     auto nextContentLine = [&](std::string& out) -> bool {
         while (std::getline(is, line)) {
@@ -116,13 +130,14 @@ std::optional<MisdpProblem> readSdpa(std::istream& is) {
     int m = 0;
     {
         std::istringstream ls(l);
-        if (!(ls >> m) || m <= 0) return std::nullopt;
+        if (!(ls >> m) || m <= 0 || m > kMaxSdpaSize) return std::nullopt;
     }
     if (!nextContentLine(l)) return std::nullopt;
     int nBlocks = 0;
     {
         std::istringstream ls(l);
-        if (!(ls >> nBlocks) || nBlocks <= 0) return std::nullopt;
+        if (!(ls >> nBlocks) || nBlocks <= 0 || nBlocks > kMaxSdpaSize)
+            return std::nullopt;
     }
     if (!nextContentLine(l)) return std::nullopt;
     std::vector<int> blockStruct;
@@ -137,6 +152,14 @@ std::optional<MisdpProblem> readSdpa(std::istream& is) {
         if (static_cast<int>(blockStruct.size()) < nBlocks)
             return std::nullopt;
         blockStruct.resize(nBlocks);
+        long long cells = 0;
+        for (int b : blockStruct) {
+            if (b == 0 || b > kMaxSdpaSize || b < -kMaxSdpaSize)
+                return std::nullopt;
+            if (b > 0) cells += static_cast<long long>(b) * b;
+        }
+        if (cells > static_cast<long long>(kMaxSdpaSize) * kMaxSdpaSize)
+            return std::nullopt;
     }
     if (!nextContentLine(l)) return std::nullopt;
     MisdpProblem prob;
@@ -146,7 +169,8 @@ std::optional<MisdpProblem> readSdpa(std::istream& is) {
             if (c == ',' || c == '{' || c == '}') c = ' ';
         std::istringstream ls(l);
         for (int j = 0; j < m; ++j)
-            if (!(ls >> prob.obj[j])) return std::nullopt;
+            if (!(ls >> prob.obj[j]) || !std::isfinite(prob.obj[j]))
+                return std::nullopt;
     }
     // Prepare blocks (diagonal blocks become linear rows).
     std::vector<int> sdpBlockIndex(nBlocks, -1);
@@ -168,7 +192,7 @@ std::optional<MisdpProblem> readSdpa(std::istream& is) {
     // Entry lines until *INTEGER or EOF.
     std::vector<int> integer;
     while (std::getline(is, line)) {
-        if (line.empty()) continue;
+        if (blankLine(line)) continue;
         if (line[0] == '*') {
             std::istringstream ls(line.substr(1));
             int v;
@@ -180,7 +204,9 @@ std::optional<MisdpProblem> readSdpa(std::istream& is) {
         std::istringstream ls(line);
         int matno, blkno, i, j;
         double val;
-        if (!(ls >> matno >> blkno >> i >> j >> val)) continue;
+        // A line that does not parse would drop an entry: reject the file.
+        if (!(ls >> matno >> blkno >> i >> j >> val) || !std::isfinite(val))
+            return std::nullopt;
         if (blkno < 1 || blkno > nBlocks || matno < 0 || matno > m)
             return std::nullopt;
         const int k = blkno - 1;

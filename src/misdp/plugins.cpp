@@ -90,42 +90,40 @@ int SdpEigenCutHandler::enforce(cip::Solver& solver,
 // SdpRelaxator
 // ---------------------------------------------------------------------------
 
+sdp::SdpProblem relaxationProblem(const MisdpProblem& prob) {
+    sdp::SdpProblem sp;
+    sp.init(prob.numVars);
+    sp.b = prob.obj;
+    sp.lb = prob.lb;
+    sp.ub = prob.ub;
+    sp.blocks = prob.blocks;
+    // Linear rows become 1x1 blocks: rhs - a'y >= 0 and a'y - lhs >= 0.
+    auto addRow = [&](const lp::Row& r, double c, double sign) {
+        sdp::SdpBlock blk;
+        blk.dim = 1;
+        blk.c = linalg::Matrix(1, 1, c);
+        blk.a.assign(prob.numVars, linalg::Matrix{});
+        for (const auto& [j, a] : r.coefs)
+            blk.a[j] = linalg::Matrix(1, 1, sign * a);
+        sp.addBlock(std::move(blk));
+    };
+    for (const lp::Row& r : prob.linearRows) {
+        if (r.rhs < lp::kInf) addRow(r, r.rhs, 1.0);
+        if (r.lhs > -lp::kInf) addRow(r, -r.lhs, -1.0);
+    }
+    return sp;
+}
+
 SdpRelaxator::SdpRelaxator(const MisdpProblem& prob)
-    : Relaxator("sdp_relax", 0), prob_(prob) {}
+    : Relaxator("sdp_relax", 0), sp_(relaxationProblem(prob)) {
+    for (const sdp::SdpBlock& blk : sp_.blocks) dims_ += blk.dim;
+}
 
 cip::RelaxResult SdpRelaxator::solveRelaxation(cip::Solver& solver) {
-    sdp::SdpProblem sp;
-    sp.init(prob_.numVars);
-    sp.b = prob_.obj;
-    sp.lb = solver.localLb();
-    sp.ub = solver.localUb();
-    sp.blocks = prob_.blocks;
-    // Linear rows become 1x1 blocks: rhs - a'y >= 0 and a'y - lhs >= 0.
-    for (const lp::Row& r : prob_.linearRows) {
-        if (r.rhs < lp::kInf) {
-            sdp::SdpBlock blk;
-            blk.dim = 1;
-            blk.c = linalg::Matrix(1, 1, r.rhs);
-            blk.a.assign(prob_.numVars, linalg::Matrix{});
-            for (const auto& [j, c] : r.coefs)
-                blk.a[j] = linalg::Matrix(1, 1, c);
-            sp.addBlock(std::move(blk));
-        }
-        if (r.lhs > -lp::kInf) {
-            sdp::SdpBlock blk;
-            blk.dim = 1;
-            blk.c = linalg::Matrix(1, 1, -r.lhs);
-            blk.a.assign(prob_.numVars, linalg::Matrix{});
-            for (const auto& [j, c] : r.coefs)
-                blk.a[j] = linalg::Matrix(1, 1, -c);
-            sp.addBlock(std::move(blk));
-        }
-    }
-
-    sdp::SdpResult sr = sdp::solveSdp(sp);
-    int dims = 0;
-    for (const auto& blk : sp.blocks) dims += blk.dim;
-    solver.addCost(static_cast<std::int64_t>(sr.iterations) * (1 + dims / 4));
+    sp_.lb = solver.localLb();
+    sp_.ub = solver.localUb();
+    sdp::SdpResult sr = sdp::solveSdp(sp_);
+    solver.addCost(static_cast<std::int64_t>(sr.iterations) * (1 + dims_ / 4));
 
     cip::RelaxResult rr;
     switch (sr.status) {

@@ -33,13 +33,19 @@ private:
     bool separationEnabled_;
 };
 
+/// The continuous SDP relaxation of `prob` at its global bounds: the SDP
+/// blocks, then each linear row as one or two 1x1 blocks (rhs - a'y >= 0,
+/// a'y - lhs >= 0) in row order.
+sdp::SdpProblem relaxationProblem(const MisdpProblem& prob);
+
 class SdpRelaxator : public cip::Relaxator {
 public:
     explicit SdpRelaxator(const MisdpProblem& prob);
     cip::RelaxResult solveRelaxation(cip::Solver& solver) override;
 
 private:
-    const MisdpProblem& prob_;
+    sdp::SdpProblem sp_;  ///< built once; each call sets only lb and ub
+    int dims_ = 0;        ///< total block dimension, for the work charge
 };
 
 class MisdpRoundingHeuristic : public cip::Heuristic {

@@ -50,21 +50,121 @@ namespace {
 
 constexpr double kBoundInf = 1e29;
 
-struct InternalBlock {
-    int dim;
-    Matrix c;
-    std::vector<Matrix> a;  ///< per internal variable (empty = zero)
+/// One nonzero A_j of a block with dim > 1, stored by its nonzeros.
+struct Term {
+    int var;                  ///< internal variable index
+    std::vector<int> pos;     ///< row-major positions of the nonzeros
+    std::vector<double> val;  ///< their values, in the same order
+    std::vector<int> cols;    ///< ascending columns that hold a nonzero
 };
 
+/// An internal block. A 1x1 block (linear row, variable bound, penalty
+/// sign) keeps its data as plain doubles and its A_j as (var, a) pairs;
+/// a larger block keeps dense C, X, Z and sparse terms. Terms are in
+/// ascending variable order, so the penalty radius, where present, is last.
+struct Block {
+    int dim = 1;
+    // dim == 1
+    std::vector<std::pair<int, double>> coef;
+    double c = 0.0, x = 1.0, z = 0.0, zinv = 0.0, dx = 0.0, dz = 0.0;
+    // dim > 1
+    std::vector<Term> terms;
+    Matrix C, X, Z, Zinv, dX, dZ;
+
+    bool scalar() const { return dim == 1; }
+    /// The penalty radius for user blocks and the penalty block.
+    int lastVar() const {
+        return scalar() ? coef.back().first : terms.back().var;
+    }
+};
+
+/// `a`'s nonzeros as a term; an all-zero matrix yields no nonzeros.
+Term sparseTerm(int var, const Matrix& a) {
+    Term t{var, {}, {}, {}};
+    const int n = static_cast<int>(a.rows());
+    std::vector<bool> used(n, false);
+    for (int r = 0; r < n; ++r)
+        for (int c = 0; c < n; ++c)
+            if (a(r, c) != 0.0) {
+                t.pos.push_back(r * n + c);
+                t.val.push_back(a(r, c));
+                used[c] = true;
+            }
+    for (int c = 0; c < n; ++c)
+        if (used[c]) t.cols.push_back(c);
+    return t;
+}
+
+/// <A, D> over A's nonzeros, summed in row-major order.
+double termDot(const Term& t, const double* d) {
+    double s = 0.0;
+    for (std::size_t e = 0; e < t.pos.size(); ++e) s += t.val[e] * d[t.pos[e]];
+    return s;
+}
+
+/// Z = C - sum_j A_j y_j, skipping zero y_j.
+void formZ(Block& blk, const std::vector<double>& y) {
+    if (blk.scalar()) {
+        blk.z = blk.c;
+        for (const auto& [j, a] : blk.coef)
+            if (y[j] != 0.0) blk.z -= a * y[j];
+        return;
+    }
+    blk.Z = blk.C;
+    double* z = blk.Z.data().data();
+    for (const Term& t : blk.terms) {
+        const double yj = y[t.var];
+        if (yj == 0.0) continue;
+        for (std::size_t e = 0; e < t.pos.size(); ++e)
+            z[t.pos[e]] -= t.val[e] * yj;
+    }
+}
+
+/// u = (X A) Z^{-1} for a block with dim > 1, through scratch t = X A.
+/// X A runs over A's nonzeros and the product with Z^{-1} over A's nonzero
+/// columns; each entry adds its products in the dense operator*'s order.
+void xaz(const Block& blk, const Term& a, std::vector<double>& t,
+         std::vector<double>& u) {
+    const std::size_t n = static_cast<std::size_t>(blk.dim);
+    const double* x = blk.X.data().data();
+    const double* zinv = blk.Zinv.data().data();
+    t.assign(n * n, 0.0);
+    for (std::size_t e = 0; e < a.pos.size(); ++e) {
+        const std::size_t k = a.pos[e] / n;
+        const std::size_t c = a.pos[e] % n;
+        const double v = a.val[e];
+        for (std::size_t i = 0; i < n; ++i) t[i * n + c] += x[i * n + k] * v;
+    }
+    u.assign(n * n, 0.0);
+    for (std::size_t i = 0; i < n; ++i)
+        for (int k : a.cols) {
+            const double tik = t[i * n + k];
+            if (tik == 0.0) continue;
+            const double* zk = zinv + k * n;
+            double* ui = u.data() + i * n;
+            for (std::size_t c = 0; c < n; ++c) ui[c] += tik * zk[c];
+        }
+}
+
 /// Largest step alpha in (0, 1] keeping m + alpha*d positive definite,
-/// found by backtracking Cholesky tests.
-double maxPsdStep(const Matrix& m, const Matrix& d) {
+/// found by backtracking Cholesky tests; `trial` is scratch space.
+double maxPsdStep(const Matrix& m, const Matrix& d, Matrix& trial) {
+    if (trial.rows() != m.rows()) trial = Matrix(m.rows(), m.cols());
     double alpha = 1.0;
     for (int iter = 0; iter < 80; ++iter) {
-        Matrix trial = d;
-        trial *= alpha;
-        trial += m;
+        for (std::size_t e = 0; e < trial.data().size(); ++e)
+            trial.data()[e] = d.data()[e] * alpha + m.data()[e];
         if (Cholesky::factor(trial, 1e-14).has_value()) return alpha;
+        alpha *= 0.8;
+    }
+    return 0.0;
+}
+
+/// maxPsdStep for a 1x1 block: the Cholesky test is d*alpha + m > 1e-14.
+double maxScalarStep(double m, double d) {
+    double alpha = 1.0;
+    for (int iter = 0; iter < 80; ++iter) {
+        if (!(d * alpha + m <= 1e-14)) return alpha;
         alpha *= 0.8;
     }
     return 0.0;
@@ -95,67 +195,67 @@ SdpResult solveSdp(const SdpProblem& prob, const IpmOptions& opts) {
     // --- internal augmented problem -----------------------------------------
     // Variables: free originals (0..mf-1) plus the penalty radius r (mf).
     const int mi = mf + 1;
-    std::vector<InternalBlock> blocks;
+    std::vector<Block> blocks;
     std::vector<double> bi(mi, 0.0);
     for (int k = 0; k < mf; ++k) bi[k] = prob.b[freeIdx[k]];
     bi[mf] = -opts.penaltyGamma;
 
+    auto scalarBlock = [&](double c, int var, double a) {
+        Block blk;
+        blk.c = c;
+        blk.coef.emplace_back(var, a);
+        blocks.push_back(std::move(blk));
+    };
     for (const SdpBlock& ub : prob.blocks) {
-        InternalBlock blk;
+        auto userA = [&](int i) -> const Matrix* {
+            if (static_cast<int>(ub.a.size()) <= i || ub.a[i].empty())
+                return nullptr;
+            return &ub.a[i];
+        };
+        Block blk;
         blk.dim = ub.dim;
-        blk.c = ub.c;
         // Substitute fixed variables into C.
-        for (int i = 0; i < m; ++i) {
-            if (!isFixed[i] || ub.a.empty() ||
-                static_cast<int>(ub.a.size()) <= i || ub.a[i].empty() ||
-                fixedVal[i] == 0.0)
-                continue;
-            Matrix term = ub.a[i];
-            term *= fixedVal[i];
-            blk.c -= term;
+        if (blk.scalar()) {
+            blk.c = ub.c(0, 0);
+            for (int i = 0; i < m; ++i)
+                if (const Matrix* a = userA(i);
+                    a && isFixed[i] && fixedVal[i] != 0.0)
+                    blk.c -= (*a)(0, 0) * fixedVal[i];
+            for (int k = 0; k < mf; ++k)
+                if (const Matrix* a = userA(freeIdx[k]); a && (*a)(0, 0) != 0.0)
+                    blk.coef.emplace_back(k, (*a)(0, 0));
+            // Penalty: Z = C - A*(y) + r I, i.e. A_pen = -I.
+            blk.coef.emplace_back(mf, -1.0);
+        } else {
+            blk.C = ub.c;
+            for (int i = 0; i < m; ++i) {
+                const Matrix* a = userA(i);
+                if (!a || !isFixed[i] || fixedVal[i] == 0.0) continue;
+                for (std::size_t e = 0; e < blk.C.data().size(); ++e)
+                    blk.C.data()[e] -= a->data()[e] * fixedVal[i];
+            }
+            for (int k = 0; k < mf; ++k)
+                if (const Matrix* a = userA(freeIdx[k])) {
+                    Term t = sparseTerm(k, *a);
+                    if (!t.pos.empty()) blk.terms.push_back(std::move(t));
+                }
+            Matrix negI = Matrix::identity(ub.dim);
+            negI *= -1.0;
+            blk.terms.push_back(sparseTerm(mf, negI));
+            blk.X = Matrix::identity(ub.dim);
         }
-        blk.a.assign(mi, Matrix{});
-        for (int k = 0; k < mf; ++k) {
-            const int i = freeIdx[k];
-            if (static_cast<int>(ub.a.size()) > i && !ub.a[i].empty())
-                blk.a[k] = ub.a[i];
-        }
-        // Penalty: Z = C - A*(y) + r I, i.e. A_pen = -I.
-        Matrix negI = Matrix::identity(ub.dim);
-        negI *= -1.0;
-        blk.a[mf] = std::move(negI);
         blocks.push_back(std::move(blk));
     }
     // Bound blocks (1x1) for finite bounds of free variables.
     for (int k = 0; k < mf; ++k) {
         const int i = freeIdx[k];
-        if (prob.lb[i] > -kBoundInf) {
-            InternalBlock blk;
-            blk.dim = 1;
-            blk.c = Matrix(1, 1, -prob.lb[i]);
-            blk.a.assign(mi, Matrix{});
-            blk.a[k] = Matrix(1, 1, -1.0);  // Z = y_k - l
-            blocks.push_back(std::move(blk));
-        }
-        if (prob.ub[i] < kBoundInf) {
-            InternalBlock blk;
-            blk.dim = 1;
-            blk.c = Matrix(1, 1, prob.ub[i]);
-            blk.a.assign(mi, Matrix{});
-            blk.a[k] = Matrix(1, 1, 1.0);  // Z = u - y_k
-            blocks.push_back(std::move(blk));
-        }
+        if (prob.lb[i] > -kBoundInf)
+            scalarBlock(-prob.lb[i], k, -1.0);  // Z = y_k - l
+        if (prob.ub[i] < kBoundInf)
+            scalarBlock(prob.ub[i], k, 1.0);  // Z = u - y_k
     }
     // Penalty non-negativity block: Z = r.
-    {
-        InternalBlock blk;
-        blk.dim = 1;
-        blk.c = Matrix(1, 1, 0.0);
-        blk.a.assign(mi, Matrix{});
-        blk.a[mf] = Matrix(1, 1, -1.0);
-        blocks.push_back(std::move(blk));
-    }
-    const int nBlocks = static_cast<int>(blocks.size());
+    scalarBlock(0.0, mf, -1.0);
 
     // --- initial point --------------------------------------------------------
     std::vector<double> y(mi, 0.0);
@@ -170,79 +270,80 @@ SdpResult solveSdp(const SdpProblem& prob, const IpmOptions& opts) {
         else if (hasU)
             y[k] = prob.ub[i] - 1.0;
     }
-    // Radius large enough for strict feasibility of the user blocks.
+    // Radius large enough for strict feasibility of the blocks carrying it
+    // (probed at r = 0, which y[mf] still is).
     double r0 = 1.0;
-    {
-        std::vector<double> yProbe = y;
-        yProbe[mf] = 0.0;
-        for (int kb = 0; kb < nBlocks; ++kb) {
-            // Only user blocks carry the penalty; probing all is harmless.
-            Matrix z = blocks[kb].c;
-            for (int j = 0; j < mi; ++j) {
-                if (blocks[kb].a[j].empty() || yProbe[j] == 0.0) continue;
-                Matrix t = blocks[kb].a[j];
-                t *= yProbe[j];
-                z -= t;
-            }
-            if (blocks[kb].dim > 1 || !blocks[kb].a[mf].empty()) {
-                if (blocks[kb].a[mf].empty()) continue;
-                const double lam = linalg::smallestEigenvalue(z);
-                r0 = std::max(r0, -lam + 1.0);
-            }
-        }
+    for (Block& blk : blocks) {
+        if (blk.lastVar() != mf) continue;
+        formZ(blk, y);
+        const double lam =
+            blk.scalar() ? blk.z : linalg::smallestEigenvalue(blk.Z);
+        r0 = std::max(r0, -lam + 1.0);
     }
     y[mf] = r0;
 
-    std::vector<Matrix> X(nBlocks);
     int totalDim = 0;
-    for (int kb = 0; kb < nBlocks; ++kb) {
-        X[kb] = Matrix::identity(blocks[kb].dim);
-        totalDim += blocks[kb].dim;
+    std::size_t maxTerms = 0;
+    for (const Block& blk : blocks) {
+        totalDim += blk.dim;
+        maxTerms = std::max(maxTerms, blk.scalar() ? blk.coef.size()
+                                                   : blk.terms.size());
     }
 
-    auto zOf = [&](int kb) {
-        Matrix z = blocks[kb].c;
-        for (int j = 0; j < mi; ++j) {
-            if (blocks[kb].a[j].empty() || y[j] == 0.0) continue;
-            Matrix t = blocks[kb].a[j];
-            t *= y[j];
-            z -= t;
+    // rp_i = b_i - <A_i, X>, each block's inner product subtracted in order.
+    std::vector<double> rp(mi);
+    auto primalResidual = [&] {
+        rp = bi;
+        for (const Block& blk : blocks) {
+            if (blk.scalar()) {
+                for (const auto& [j, a] : blk.coef) rp[j] -= a * blk.x;
+            } else {
+                for (const Term& t : blk.terms)
+                    rp[t.var] -= termDot(t, blk.X.data().data());
+            }
         }
-        return z;
     };
+
+    // Workspace for the whole solve.
+    Matrix M(mi, mi), trial, G;
+    std::vector<double> rhs(mi), t;
+    std::vector<std::vector<double>> u(maxTerms);
+    std::vector<double> su(maxTerms);
 
     // --- main IPM loop ---------------------------------------------------------
     double lastAlpha = 1.0;
     int iter = 0;
     for (; iter < opts.maxIters; ++iter) {
-        std::vector<Matrix> Z(nBlocks), Zinv(nBlocks);
         bool zOk = true;
-        for (int kb = 0; kb < nBlocks && zOk; ++kb) {
-            Z[kb] = zOf(kb);
-            auto chol = Cholesky::factor(Z[kb], 1e-300);
+        for (Block& blk : blocks) {
+            formZ(blk, y);
+            if (blk.scalar()) {
+                // Cholesky::factor and solve(identity) on a 1x1 matrix.
+                if (blk.z <= 1e-300) {
+                    zOk = false;
+                    break;
+                }
+                const double l = std::sqrt(blk.z);
+                blk.zinv = (1.0 / l) / l;
+                continue;
+            }
+            auto chol = Cholesky::factor(blk.Z, 1e-300);
             if (!chol) {
                 zOk = false;
                 break;
             }
-            Zinv[kb] = chol->solve(Matrix::identity(blocks[kb].dim));
-            Zinv[kb].symmetrize();
+            blk.Zinv = chol->solve(Matrix::identity(blk.dim));
+            blk.Zinv.symmetrize();
         }
         if (!zOk) break;  // lost dual interiority: numerical failure
 
         double gap = 0.0;
-        for (int kb = 0; kb < nBlocks; ++kb)
-            gap += linalg::frobeniusDot(X[kb], Z[kb]);
+        for (const Block& blk : blocks)
+            gap += blk.scalar() ? blk.x * blk.z
+                                : linalg::frobeniusDot(blk.X, blk.Z);
         const double mu = gap / totalDim;
 
-        // Primal residuals rp_i = b_i - <A_i, X>.
-        std::vector<double> rp(mi, 0.0);
-        for (int j = 0; j < mi; ++j) {
-            double s = bi[j];
-            for (int kb = 0; kb < nBlocks; ++kb)
-                if (!blocks[kb].a[j].empty())
-                    s -= linalg::frobeniusDot(blocks[kb].a[j], X[kb]);
-            rp[j] = s;
-        }
+        primalResidual();
         double rpNorm = 0.0;
         for (double v : rp) rpNorm = std::max(rpNorm, std::fabs(v));
         const double objScale = 1.0 + std::fabs(fixedObj) +
@@ -255,30 +356,43 @@ SdpResult solveSdp(const SdpProblem& prob, const IpmOptions& opts) {
 
         // Schur complement M dy = rp - g, with
         //   M_ij = sum_k <A_i, sym(X A_j Z^{-1})>,  g_i = <A_i, mu Z^{-1}-X>.
-        Matrix M(mi, mi);
-        std::vector<double> rhs(mi, 0.0);
-        for (int kb = 0; kb < nBlocks; ++kb) {
-            const InternalBlock& blk = blocks[kb];
-            std::vector<int> act;
-            for (int j = 0; j < mi; ++j)
-                if (!blk.a[j].empty()) act.push_back(j);
-            if (act.empty()) continue;
-            std::vector<Matrix> u(act.size());
-            for (std::size_t jj = 0; jj < act.size(); ++jj) {
-                Matrix t = X[kb] * blk.a[act[jj]];
-                u[jj] = t * Zinv[kb];
-            }
-            for (std::size_t ii = 0; ii < act.size(); ++ii) {
-                for (std::size_t jj = 0; jj < act.size(); ++jj) {
-                    M(act[ii], act[jj]) +=
-                        0.5 * (linalg::frobeniusDot(blk.a[act[ii]], u[jj]) +
-                               linalg::frobeniusDot(blk.a[act[jj]], u[ii]));
+        // Each block adds its value to M_ij and M_ji alike.
+        std::fill(M.data().begin(), M.data().end(), 0.0);
+        std::fill(rhs.begin(), rhs.end(), 0.0);
+        auto addM = [&](int i, int j, double v) {
+            M(i, j) += v;
+            if (i != j) M(j, i) += v;
+        };
+        for (const Block& blk : blocks) {
+            if (blk.scalar()) {
+                const std::size_t nt = blk.coef.size();
+                for (std::size_t jj = 0; jj < nt; ++jj)
+                    su[jj] = (blk.x * blk.coef[jj].second) * blk.zinv;
+                const double g = blk.zinv * muTarget - blk.x;
+                for (std::size_t ii = 0; ii < nt; ++ii) {
+                    const auto [i, ai] = blk.coef[ii];
+                    for (std::size_t jj = ii; jj < nt; ++jj) {
+                        const auto [j, aj] = blk.coef[jj];
+                        addM(i, j, 0.5 * (ai * su[jj] + aj * su[ii]));
+                    }
+                    rhs[i] -= ai * g;
                 }
-                Matrix gTerm = Zinv[kb];
-                gTerm *= muTarget;
-                gTerm -= X[kb];
-                rhs[act[ii]] -=
-                    linalg::frobeniusDot(blk.a[act[ii]], gTerm);
+                continue;
+            }
+            for (std::size_t jj = 0; jj < blk.terms.size(); ++jj)
+                xaz(blk, blk.terms[jj], t, u[jj]);
+            G = blk.Zinv;
+            G *= muTarget;
+            G -= blk.X;
+            for (std::size_t ii = 0; ii < blk.terms.size(); ++ii) {
+                const Term& ti = blk.terms[ii];
+                for (std::size_t jj = ii; jj < blk.terms.size(); ++jj) {
+                    const Term& tj = blk.terms[jj];
+                    addM(ti.var, tj.var,
+                         0.5 * (termDot(ti, u[jj].data()) +
+                                termDot(tj, u[ii].data())));
+                }
+                rhs[ti.var] -= termDot(ti, G.data().data());
             }
         }
         for (int j = 0; j < mi; ++j) {
@@ -296,33 +410,51 @@ SdpResult solveSdp(const SdpProblem& prob, const IpmOptions& opts) {
 
         // Directions and step sizes.
         double alphaP = 1.0, alphaD = 1.0;
-        std::vector<Matrix> dX(nBlocks);
-        for (int kb = 0; kb < nBlocks; ++kb) {
-            Matrix dZ(blocks[kb].dim, blocks[kb].dim);
-            for (int j = 0; j < mi; ++j) {
-                if (blocks[kb].a[j].empty() || dy[j] == 0.0) continue;
-                Matrix t = blocks[kb].a[j];
-                t *= dy[j];
-                dZ -= t;
+        for (Block& blk : blocks) {
+            if (blk.scalar()) {
+                blk.dz = 0.0;
+                for (const auto& [j, a] : blk.coef)
+                    if (dy[j] != 0.0) blk.dz -= a * dy[j];
+                // dx = mu z^{-1} - x - x dz z^{-1}.
+                blk.dx = (blk.zinv * muTarget - blk.x) -
+                         (blk.x * blk.dz) * blk.zinv;
+                alphaP = std::min(alphaP, maxScalarStep(blk.x, blk.dx));
+                alphaD = std::min(alphaD, maxScalarStep(blk.z, blk.dz));
+                continue;
+            }
+            if (blk.dZ.empty())
+                blk.dZ = Matrix(blk.dim, blk.dim);
+            else
+                std::fill(blk.dZ.data().begin(), blk.dZ.data().end(), 0.0);
+            double* dz = blk.dZ.data().data();
+            for (const Term& t : blk.terms) {
+                const double dyj = dy[t.var];
+                if (dyj == 0.0) continue;
+                for (std::size_t e = 0; e < t.pos.size(); ++e)
+                    dz[t.pos[e]] -= t.val[e] * dyj;
             }
             // dX = mu Z^{-1} - X - X dZ Z^{-1}, symmetrized.
-            Matrix d = Zinv[kb];
+            Matrix d = blk.Zinv;
             d *= muTarget;
-            d -= X[kb];
-            Matrix corr = (X[kb] * dZ) * Zinv[kb];
+            d -= blk.X;
+            Matrix corr = (blk.X * blk.dZ) * blk.Zinv;
             d -= corr;
             d.symmetrize();
-            dX[kb] = std::move(d);
-            alphaP = std::min(alphaP, maxPsdStep(X[kb], dX[kb]));
-            alphaD = std::min(alphaD, maxPsdStep(Z[kb], dZ));
+            blk.dX = std::move(d);
+            alphaP = std::min(alphaP, maxPsdStep(blk.X, blk.dX, trial));
+            alphaD = std::min(alphaD, maxPsdStep(blk.Z, blk.dZ, trial));
         }
         alphaP *= 0.98;
         alphaD *= 0.98;
         if (alphaP < 1e-10 && alphaD < 1e-10) break;  // stalled
-        for (int kb = 0; kb < nBlocks; ++kb) {
-            Matrix step = dX[kb];
+        for (Block& blk : blocks) {
+            if (blk.scalar()) {
+                blk.x += blk.dx * alphaP;
+                continue;
+            }
+            Matrix step = blk.dX;
             step *= alphaP;
-            X[kb] += step;
+            blk.X += step;
         }
         for (int j = 0; j < mi; ++j) y[j] += alphaD * dy[j];
         lastAlpha = std::min(alphaP, alphaD);
@@ -346,15 +478,12 @@ SdpResult solveSdp(const SdpProblem& prob, const IpmOptions& opts) {
     {
         double ymax = 1.0;
         for (int k = 0; k < mf; ++k) ymax = std::max(ymax, std::fabs(y[k]));
-        for (int kb = 0; kb < nBlocks; ++kb)
-            primalObj += linalg::frobeniusDot(blocks[kb].c, X[kb]);
-        for (int j = 0; j < mi; ++j) {
-            double s = bi[j];
-            for (int kb = 0; kb < nBlocks; ++kb)
-                if (!blocks[kb].a[j].empty())
-                    s -= linalg::frobeniusDot(blocks[kb].a[j], X[kb]);
-            rpMargin += std::fabs(s) * (10.0 + 10.0 * ymax);
-        }
+        for (const Block& blk : blocks)
+            primalObj += blk.scalar() ? blk.c * blk.x
+                                      : linalg::frobeniusDot(blk.C, blk.X);
+        primalResidual();
+        for (int j = 0; j < mi; ++j)
+            rpMargin += std::fabs(rp[j]) * (10.0 + 10.0 * ymax);
     }
     res.upperBound = primalObj + rpMargin;
 

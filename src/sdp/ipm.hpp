@@ -3,6 +3,25 @@
 // fails (paper section 3.2): an auxiliary radius variable r >= 0 augments
 // every block to C - A*(y) + r I >= 0 and is driven to zero by a large
 // penalty; r* > 0 at optimality certifies (near-)infeasibility.
+//
+// Internal form. Fixed variables are substituted into C, and every block
+// keeps only its nonzero A_j, in ascending internal-variable order with
+// the penalty radius last. A block with dim > 1 keeps dense C, X, Z and
+// Z^{-1}, and each A_j as its nonzeros in row-major order plus its
+// ascending nonzero-column list. A 1x1 block (linear row, variable bound,
+// penalty sign) keeps c, x, z, z^{-1}, dx and dz as plain doubles. Z, the
+// primal residual, the Schur right-hand side and <A_i, X A_j Z^{-1}> are
+// summed over nonzeros only, and each Schur entry is computed once for
+// j >= i and mirrored.
+//
+// Bit-identity contract. The iterates equal those of the dense
+// computation, term for term: blocks run in their original order, each
+// sum adds its terms in the dense loop's order and only drops products
+// with an exact-zero factor, a scalar z^{-1} is (1/l)/l with l = sqrt(z)
+// as Cholesky computes it, and the scalar factor and step tests keep
+// their "<=" forms (z <= 1e-300, d*alpha + m <= 1e-14), so a NaN takes
+// the same branch. The only possible difference is the sign of an exact
+// zero. Sdp.MatchesParentOnMisdpRelaxations pins the results.
 #pragma once
 
 #include "sdp/problem.hpp"

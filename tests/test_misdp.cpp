@@ -4,6 +4,7 @@
 
 #include "linalg/eigen.hpp"
 #include "misdp/instances.hpp"
+#include "misdp/plugins.hpp"
 #include "misdp/solver.hpp"
 #include "sdp/ipm.hpp"
 #include "ugcip/misdp_plugins.hpp"
@@ -26,10 +27,8 @@ double bruteForceOracle(const MisdpProblem& p, bool* feasible) {
     double best = -1e300;
     *feasible = false;
     // Assume binary integers (true for all generated families).
+    sdp::SdpProblem sp = misdp::relaxationProblem(p);
     for (long long mask = 0; mask < (1LL << ni); ++mask) {
-        sdp::SdpProblem sp;
-        sp.init(p.numVars);
-        sp.b = p.obj;
         sp.lb = p.lb;
         sp.ub = p.ub;
         bool boundsOk = true;
@@ -41,28 +40,6 @@ double bruteForceOracle(const MisdpProblem& p, bool* feasible) {
             sp.ub[i] = v;
         }
         if (!boundsOk) continue;
-        // Linear rows as 1x1 blocks.
-        sp.blocks = p.blocks;
-        for (const lp::Row& r : p.linearRows) {
-            if (r.rhs < lp::kInf) {
-                sdp::SdpBlock blk;
-                blk.dim = 1;
-                blk.c = Matrix(1, 1, r.rhs);
-                blk.a.assign(p.numVars, Matrix{});
-                for (const auto& [j, c] : r.coefs)
-                    blk.a[j] = Matrix(1, 1, c);
-                sp.addBlock(std::move(blk));
-            }
-            if (r.lhs > -lp::kInf) {
-                sdp::SdpBlock blk;
-                blk.dim = 1;
-                blk.c = Matrix(1, 1, -r.lhs);
-                blk.a.assign(p.numVars, Matrix{});
-                for (const auto& [j, c] : r.coefs)
-                    blk.a[j] = Matrix(1, 1, -c);
-                sp.addBlock(std::move(blk));
-            }
-        }
         sdp::SdpResult r = sdp::solveSdp(sp);
         if (r.status != sdp::SdpStatus::Optimal) continue;
         *feasible = true;
@@ -242,7 +219,9 @@ TEST(UgMisdp, NormalRampUpAlsoSolves) {
 
 // --- SDPA file format ---------------------------------------------------------
 
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "misdp/io.hpp"
 
@@ -295,6 +274,71 @@ TEST(MisdpIo, RejectsGarbage) {
     EXPECT_FALSE(misdp::readSdpa(bad).has_value());
     std::istringstream empty("");
     EXPECT_FALSE(misdp::readSdpa(empty).has_value());
+}
+
+namespace {
+
+/// `text` parsed by readSdpa.
+std::optional<MisdpProblem> readText(const std::string& text) {
+    std::istringstream in(text);
+    return misdp::readSdpa(in);
+}
+
+/// A valid SDPA text: a 2x2 block and one linear row on two variables.
+const std::string kSmallSdpa =
+    "\"small\"\n2 = mDIM\n2 = nBLOCK\n2 -1 = bLOCKsTRUCT\n1 1\n"
+    "0 1 1 1 -2\n0 1 2 2 -1\n1 1 1 2 1\n2 1 1 2 1\n"
+    "0 2 1 1 -1\n1 2 1 1 -1\n2 2 1 1 -1\n*INTEGER\n*1\n*2\n";
+
+}  // namespace
+
+TEST(MisdpIo, ReadsSmallFileAndSkipsBlankLines) {
+    auto p = readText(kSmallSdpa);
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(p->numVars, 2);
+    EXPECT_EQ(p->blocks.size(), 1u);
+    EXPECT_EQ(p->linearRows.size(), 1u);
+    EXPECT_DOUBLE_EQ(p->blocks[0].a[0](0, 1), -1.0);
+    std::string spaced = kSmallSdpa;
+    spaced.insert(spaced.find("0 1 2 2"), "   \t\n\n");
+    auto q = readText(spaced);
+    ASSERT_TRUE(q.has_value());
+    EXPECT_EQ(q->blocks[0].c(1, 1), p->blocks[0].c(1, 1));
+}
+
+TEST(MisdpIo, RejectsTruncatedEntryLine) {
+    std::string text = kSmallSdpa;
+    const std::size_t at = text.find("1 1 1 2 1\n");
+    text.replace(at, 10, "1 1 1 2\n");  // value missing
+    EXPECT_FALSE(readText(text).has_value());
+}
+
+TEST(MisdpIo, RejectsHugeVariableCount) {
+    std::string text = kSmallSdpa;
+    text.replace(text.find("2 = mDIM"), 1, "2000000000");
+    EXPECT_FALSE(readText(text).has_value());
+    text = kSmallSdpa;
+    text.replace(text.find("2 = nBLOCK"), 1, "100000");
+    EXPECT_FALSE(readText(text).has_value());
+}
+
+TEST(MisdpIo, RejectsHugeBlockSize) {
+    for (const char* blocks : {"2000000 -1", "2 -2000000", "1000 1000"}) {
+        std::string text = kSmallSdpa;
+        text.replace(text.find("2 -1 ="), 4, blocks);
+        EXPECT_FALSE(readText(text).has_value()) << blocks;
+    }
+}
+
+TEST(MisdpIo, RejectsNonFiniteValues) {
+    for (const char* bad : {"inf", "nan", "-inf", "1e999"}) {
+        std::string entry = kSmallSdpa;
+        entry.replace(entry.find("0 1 1 1 -2") + 8, 2, bad);
+        EXPECT_FALSE(readText(entry).has_value()) << "entry " << bad;
+        std::string obj = kSmallSdpa;
+        obj.replace(obj.find("1 1\n0 1"), 1, bad);
+        EXPECT_FALSE(readText(obj).has_value()) << "objective " << bad;
+    }
 }
 
 TEST(MisdpIo, FileRoundtrip) {
