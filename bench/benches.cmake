@@ -83,6 +83,17 @@ add_test(NAME bench-smoke-stp
                  --benchmark_out_format=json)
 set_tests_properties(bench-smoke-stp PROPERTIES LABELS bench-smoke)
 
+# LU factorization smoke: archives the refactorization of an optimal
+# Steiner-cut basis and of a basis with dense eigenvector-cut rows, with
+# the column entries each factorization touches, in BENCH_lu.json. No gate:
+# the counter is deterministic and the wall times are for the record.
+add_test(NAME bench-smoke-lu
+         COMMAND micro_kernels
+                 --benchmark_filter=BM_LuFactorize/
+                 --benchmark_out=${CMAKE_BINARY_DIR}/BENCH_lu.json
+                 --benchmark_out_format=json)
+set_tests_properties(bench-smoke-lu PROPERTIES LABELS bench-smoke)
+
 # Cut-pool smoke: archives the dominance-filter throughput (verdict-mix
 # counters) and the root LP-rows-per-round comparison with the pool on vs
 # off in BENCH_cutpool.json.

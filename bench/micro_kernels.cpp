@@ -10,6 +10,7 @@
 #include "cip/solver.hpp"
 #include "linalg/eigen.hpp"
 #include "lp/dense_simplex.hpp"
+#include "lp/lu.hpp"
 #include "lp/simplex.hpp"
 #include "misdp/instances.hpp"
 #include "misdp/plugins.hpp"
@@ -522,6 +523,83 @@ BENCHMARK(BM_RedcostFix)
     ->Args({5, 1, 0})
     ->Args({5, 1, 1})
     ->Iterations(1);
+
+/// An optimal basis of `m` in the layout LuFactor::factorize reads: CSC
+/// over the structural columns, then one -1 slack per row, plus the basic
+/// columns in slot order.
+struct BasisCsc {
+    std::vector<int> ptr, row, basic;
+    std::vector<double> val;
+};
+
+BasisCsc optimalBasis(const lp::LpModel& m) {
+    lp::SimplexSolver s;
+    s.load(m);
+    s.solve();
+    const lp::Basis b = s.basis();
+    const int n = m.numCols(), rows = m.numRows();
+    std::vector<std::vector<std::pair<int, double>>> cols(n);
+    for (int i = 0; i < rows; ++i)
+        for (const auto& [j, v] : m.row(i).coefs) cols[j].emplace_back(i, v);
+    BasisCsc a;
+    a.ptr.push_back(0);
+    for (int j = 0; j < n + rows; ++j) {
+        if (j < n) {
+            for (const auto& [i, v] : cols[j]) {
+                a.row.push_back(i);
+                a.val.push_back(v);
+            }
+        } else {
+            a.row.push_back(j - n);
+            a.val.push_back(-1.0);
+        }
+        a.ptr.push_back(static_cast<int>(a.row.size()));
+        if (b.status[j] == lp::VarStatus::Basic) a.basic.push_back(j);
+    }
+    return a;
+}
+
+/// Refactorization of an optimal basis, the LP kernel every warm resolve
+/// pays for. `stp`: the Steiner-cut LP shape of BM_SimplexWarm, 150
+/// columns and 600 cut rows, most of them slack in the basis. `eigencut`:
+/// 200 columns and cut rows plus 20 dense rows, the shape MISDP
+/// eigenvector cuts give the LP. Counter `touched`: active-matrix column
+/// entries read or written per factorization.
+BasisCsc luBenchBasis(bool eigencut) {
+    lp::LpModel m = eigencut ? steinerCutLp(200, 200, 11)
+                             : steinerCutLp(150, 600, 11);
+    if (eigencut) {
+        std::mt19937 rng(3);
+        std::uniform_real_distribution<double> coef(-1.0, 1.0);
+        for (int i = 0; i < 20; ++i) {
+            std::vector<std::pair<int, double>> cs;
+            for (int j = 0; j < m.numCols(); ++j) cs.emplace_back(j, coef(rng));
+            m.addRow(lp::Row(std::move(cs), -1.0, lp::kInf));
+        }
+    }
+    return optimalBasis(m);
+}
+
+void BM_LuFactorize(benchmark::State& state, bool eigencut) {
+    // google-benchmark calls this once per trial run: solve each LP once.
+    static const BasisCsc bases[2] = {luBenchBasis(false), luBenchBasis(true)};
+    const BasisCsc& a = bases[eigencut];
+    lp::LuFactor lu;
+    std::vector<int> rowOfSlot;
+    for (auto _ : state) {
+        const bool ok = lu.factorize(a.basic, a.ptr, a.row, a.val, rowOfSlot);
+        benchmark::DoNotOptimize(ok);
+        if (!ok) {
+            state.SkipWithError("singular basis");
+            return;
+        }
+    }
+    state.counters["rows"] = static_cast<double>(a.basic.size());
+    state.counters["touched"] = static_cast<double>(lu.factorTouched());
+    state.counters["fill"] = static_cast<double>(lu.fill());
+}
+BENCHMARK_CAPTURE(BM_LuFactorize, stp, false);
+BENCHMARK_CAPTURE(BM_LuFactorize, eigencut, true);
 
 void BM_SymmetricEigen(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));

@@ -6,14 +6,13 @@
 
 namespace linalg {
 
-EigenSystem symmetricEigen(const Matrix& a, int maxSweeps) {
-    assert(a.rows() == a.cols());
-    assert(a.symmetryError() < 1e-7);
-    const std::size_t n = a.rows();
-    Matrix d = a;
-    d.symmetrize();
-    Matrix v = Matrix::identity(n);
+namespace {
 
+/// Cyclic Jacobi on d (symmetric, overwritten): the diagonal converges to
+/// the eigenvalues. Rotations are accumulated into *v when v is given;
+/// they never feed back into d, so d comes out the same either way.
+void jacobi(Matrix& d, Matrix* v, int maxSweeps) {
+    const std::size_t n = d.rows();
     for (int sweep = 0; sweep < maxSweeps; ++sweep) {
         // Off-diagonal Frobenius norm as convergence measure.
         double off = 0.0;
@@ -47,22 +46,46 @@ EigenSystem symmetricEigen(const Matrix& a, int maxSweeps) {
                     d(p, k) = c * dpk - s * dqk;
                     d(q, k) = s * dpk + c * dqk;
                 }
+                if (!v) continue;
                 for (std::size_t k = 0; k < n; ++k) {
-                    const double vkp = v(k, p);
-                    const double vkq = v(k, q);
-                    v(k, p) = c * vkp - s * vkq;
-                    v(k, q) = s * vkp + c * vkq;
+                    const double vkp = (*v)(k, p);
+                    const double vkq = (*v)(k, q);
+                    (*v)(k, p) = c * vkp - s * vkq;
+                    (*v)(k, q) = s * vkp + c * vkq;
                 }
             }
         }
     }
+}
 
-    // Sort eigenpairs ascending by eigenvalue.
-    std::vector<std::size_t> order(n);
+/// Diagonal positions of d, sorted ascending by value.
+std::vector<std::size_t> ascendingDiagonal(const Matrix& d) {
+    std::vector<std::size_t> order(d.rows());
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::sort(order.begin(), order.end(),
               [&](std::size_t i, std::size_t j) { return d(i, i) < d(j, j); });
+    return order;
+}
 
+/// a, made exactly symmetric (the matrix Jacobi starts from).
+Matrix symmetrized(const Matrix& a) {
+    assert(a.rows() == a.cols());
+    assert(a.symmetryError() < 1e-7);
+    Matrix d = a;
+    d.symmetrize();
+    return d;
+}
+
+}  // namespace
+
+EigenSystem symmetricEigen(const Matrix& a, int maxSweeps) {
+    const std::size_t n = a.rows();
+    Matrix d = symmetrized(a);
+    Matrix v = Matrix::identity(n);
+    jacobi(d, &v, maxSweeps);
+
+    // Sort eigenpairs ascending by eigenvalue.
+    const std::vector<std::size_t> order = ascendingDiagonal(d);
     EigenSystem sys;
     sys.values.resize(n);
     sys.vectors = Matrix(n, n);
@@ -74,7 +97,10 @@ EigenSystem symmetricEigen(const Matrix& a, int maxSweeps) {
 }
 
 double smallestEigenvalue(const Matrix& a) {
-    return symmetricEigen(a).values.front();
+    Matrix d = symmetrized(a);
+    jacobi(d, nullptr, kDefaultJacobiSweeps);
+    const std::size_t first = ascendingDiagonal(d).front();
+    return d(first, first);
 }
 
 }  // namespace linalg

@@ -25,11 +25,16 @@ struct EigenSystem {
     }
 };
 
+inline constexpr int kDefaultJacobiSweeps = 64;
+
 /// Full eigendecomposition of a symmetric matrix (cyclic Jacobi).
 /// `a` must be symmetric; asymmetry beyond ~1e-8 is asserted in debug builds.
-EigenSystem symmetricEigen(const Matrix& a, int maxSweeps = 64);
+EigenSystem symmetricEigen(const Matrix& a,
+                           int maxSweeps = kDefaultJacobiSweeps);
 
-/// Smallest eigenvalue of a symmetric matrix (convenience wrapper).
+/// Smallest eigenvalue of a symmetric matrix: the same Jacobi sweeps as
+/// symmetricEigen without accumulating eigenvectors, so it equals
+/// symmetricEigen(a).values.front() bit for bit.
 double smallestEigenvalue(const Matrix& a);
 
 }  // namespace linalg

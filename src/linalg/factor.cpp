@@ -4,53 +4,122 @@
 
 namespace linalg {
 
-std::optional<Cholesky> Cholesky::factor(const Matrix& a, double tol) {
+bool Cholesky::factorInPlace(Matrix& a, double tol) {
     assert(a.rows() == a.cols());
     const std::size_t n = a.rows();
-    Matrix l(n, n);
     for (std::size_t j = 0; j < n; ++j) {
-        double d = a(j, j);
-        for (std::size_t k = 0; k < j; ++k) d -= l(j, k) * l(j, k);
-        if (d <= tol) return std::nullopt;
+        const double* lj = a.rowPtr(j);
+        double d = lj[j];
+        for (std::size_t k = 0; k < j; ++k) d -= lj[k] * lj[k];
+        if (d <= tol) return false;
         const double ljj = std::sqrt(d);
-        l(j, j) = ljj;
-        for (std::size_t i = j + 1; i < n; ++i) {
-            double s = a(i, j);
-            for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
-            l(i, j) = s / ljj;
+        a(j, j) = ljj;
+        // Rows below j, four at a time: each row's sum keeps its own term
+        // order, and the four independent sums overlap in the pipeline.
+        std::size_t i = j + 1;
+        for (; i + 4 <= n; i += 4) {
+            double* l0 = a.rowPtr(i);
+            double* l1 = a.rowPtr(i + 1);
+            double* l2 = a.rowPtr(i + 2);
+            double* l3 = a.rowPtr(i + 3);
+            double s0 = l0[j], s1 = l1[j], s2 = l2[j], s3 = l3[j];
+            for (std::size_t k = 0; k < j; ++k) {
+                const double ljk = lj[k];
+                s0 -= l0[k] * ljk;
+                s1 -= l1[k] * ljk;
+                s2 -= l2[k] * ljk;
+                s3 -= l3[k] * ljk;
+            }
+            l0[j] = s0 / ljj;
+            l1[j] = s1 / ljj;
+            l2[j] = s2 / ljj;
+            l3[j] = s3 / ljj;
+        }
+        for (; i < n; ++i) {
+            double* li = a.rowPtr(i);
+            double s = li[j];
+            for (std::size_t k = 0; k < j; ++k) s -= li[k] * lj[k];
+            li[j] = s / ljj;
         }
     }
+    return true;
+}
+
+std::optional<Cholesky> Cholesky::factor(const Matrix& a, double tol) {
+    Matrix l = a;
+    if (!factorInPlace(l, tol)) return std::nullopt;
+    for (std::size_t i = 0; i < l.rows(); ++i)
+        for (std::size_t j = i + 1; j < l.cols(); ++j) l(i, j) = 0.0;
     return Cholesky(std::move(l));
 }
 
-Vector Cholesky::solve(const Vector& b) const {
-    const std::size_t n = l_.rows();
-    assert(b.size() == n);
-    Vector y(n);
-    // Forward substitution L y = b.
+void Cholesky::solveInPlace(const Matrix& l, Vector& x) {
+    const std::size_t n = l.rows();
+    assert(x.size() == n);
+    // Forward substitution L y = x.
     for (std::size_t i = 0; i < n; ++i) {
-        double s = b[i];
-        for (std::size_t k = 0; k < i; ++k) s -= l_(i, k) * y[k];
-        y[i] = s / l_(i, i);
+        const double* li = l.rowPtr(i);
+        double s = x[i];
+        for (std::size_t k = 0; k < i; ++k) s -= li[k] * x[k];
+        x[i] = s / li[i];
     }
     // Back substitution L^T x = y.
-    Vector x(n);
     for (std::size_t ii = n; ii-- > 0;) {
-        double s = y[ii];
-        for (std::size_t k = ii + 1; k < n; ++k) s -= l_(k, ii) * x[k];
-        x[ii] = s / l_(ii, ii);
+        double s = x[ii];
+        for (std::size_t k = ii + 1; k < n; ++k) s -= l(k, ii) * x[k];
+        x[ii] = s / l(ii, ii);
     }
-    return x;
 }
 
-Matrix Cholesky::solve(const Matrix& b) const {
-    Matrix x(b.rows(), b.cols());
-    Vector col(b.rows());
-    for (std::size_t j = 0; j < b.cols(); ++j) {
-        for (std::size_t i = 0; i < b.rows(); ++i) col[i] = b(i, j);
-        Vector sol = solve(col);
-        for (std::size_t i = 0; i < b.rows(); ++i) x(i, j) = sol[i];
+void Cholesky::inverseInto(const Matrix& l, Matrix& inv, Matrix& lt,
+                           Vector& y) {
+    const std::size_t n = l.rows();
+    if (lt.rows() != n || lt.cols() != n) lt.assign(n, n);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t k = i; k < n; ++k) lt(i, k) = l(k, i);
+    if (inv.rows() != n || inv.cols() != n) inv.assign(n, n);
+    // Columns j0..j0+3 at once, interleaved in y (y[4*i + c] is row i of
+    // column j0 + c; a lane past n solves for a zero right-hand side).
+    // Every lane adds its terms in solveInPlace's order.
+    constexpr std::size_t W = 4;
+    y.resize(W * n);
+    for (std::size_t j0 = 0; j0 < n; j0 += W) {
+        // Forward substitution L y = e_j from row j0: the rows of column j
+        // above j come out +0, and their products only subtract zeros from
+        // the rows below, so the result is that of the full solve.
+        for (std::size_t i = 0; i < W * j0; ++i) y[i] = 0.0;
+        for (std::size_t i = j0; i < n; ++i) {
+            const double* li = l.rowPtr(i);
+            double s[W];
+            for (std::size_t c = 0; c < W; ++c) s[c] = i == j0 + c ? 1.0 : 0.0;
+            for (std::size_t k = j0; k < i; ++k) {
+                const double lik = li[k];
+                const double* yk = &y[W * k];
+                for (std::size_t c = 0; c < W; ++c) s[c] -= lik * yk[c];
+            }
+            for (std::size_t c = 0; c < W; ++c) y[W * i + c] = s[c] / li[i];
+        }
+        // Back substitution L^T x = y over the rows of L^T.
+        for (std::size_t ii = n; ii-- > 0;) {
+            const double* ltr = lt.rowPtr(ii);
+            double s[W];
+            for (std::size_t c = 0; c < W; ++c) s[c] = y[W * ii + c];
+            for (std::size_t k = ii + 1; k < n; ++k) {
+                const double ltk = ltr[k];
+                const double* yk = &y[W * k];
+                for (std::size_t c = 0; c < W; ++c) s[c] -= ltk * yk[c];
+            }
+            for (std::size_t c = 0; c < W; ++c) y[W * ii + c] = s[c] / ltr[ii];
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t c = 0; c < W && j0 + c < n; ++c)
+                inv(i, j0 + c) = y[W * i + c];
     }
+}
+
+Vector Cholesky::solve(const Vector& b) const {
+    Vector x = b;
+    solveInPlace(l_, x);
     return x;
 }
 
@@ -138,7 +207,7 @@ std::optional<Matrix> luInverse(const Matrix& a, double tol) {
 bool isPositiveSemidefinite(const Matrix& a, double eps) {
     Matrix shifted = a;
     for (std::size_t i = 0; i < a.rows(); ++i) shifted(i, i) += eps;
-    return Cholesky::factor(shifted, 0.0).has_value();
+    return Cholesky::factorInPlace(shifted, 0.0);
 }
 
 }  // namespace linalg

@@ -40,9 +40,9 @@ Matrix& Matrix::operator*=(double s) {
     return *this;
 }
 
-Matrix operator*(const Matrix& a, const Matrix& b) {
-    assert(a.cols() == b.rows());
-    Matrix c(a.rows(), b.cols());
+void multiplyInto(const Matrix& a, const Matrix& b, Matrix& c) {
+    assert(a.cols() == b.rows() && &c != &a && &c != &b);
+    c.assign(a.rows(), b.cols());
     for (std::size_t i = 0; i < a.rows(); ++i) {
         const double* ai = a.rowPtr(i);
         double* ci = c.rowPtr(i);
@@ -53,6 +53,11 @@ Matrix operator*(const Matrix& a, const Matrix& b) {
             for (std::size_t j = 0; j < b.cols(); ++j) ci[j] += aik * bk[j];
         }
     }
+}
+
+Matrix operator*(const Matrix& a, const Matrix& b) {
+    Matrix c;
+    multiplyInto(a, b, c);
     return c;
 }
 

@@ -29,6 +29,13 @@ public:
     /// n x n identity.
     static Matrix identity(std::size_t n);
 
+    /// Reshape to rows x cols filled with `fill`, reusing the storage.
+    void assign(std::size_t rows, std::size_t cols, double fill = 0.0) {
+        rows_ = rows;
+        cols_ = cols;
+        data_.assign(rows * cols, fill);
+    }
+
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
     bool empty() const { return data_.empty(); }
@@ -54,7 +61,7 @@ public:
     friend Matrix operator*(Matrix a, double s) { return a *= s; }
     friend Matrix operator*(double s, Matrix a) { return a *= s; }
 
-    /// Matrix-matrix product.
+    /// Matrix-matrix product (through multiplyInto).
     friend Matrix operator*(const Matrix& a, const Matrix& b);
 
     /// Matrix-vector product.
@@ -91,6 +98,10 @@ double normInf(const Vector& a);
 void axpy(double alpha, const Vector& x, Vector& y);
 /// x *= alpha
 void scale(Vector& x, double alpha);
+
+/// c <- a * b, reusing c's storage. Row i of c adds a(i,k) * row k of b
+/// for k ascending, skipping a(i,k) == 0.
+void multiplyInto(const Matrix& a, const Matrix& b, Matrix& c);
 
 /// Inner product of symmetric matrices <A, B> = trace(A*B) = sum a_ij b_ij.
 double frobeniusDot(const Matrix& a, const Matrix& b);

@@ -87,16 +87,21 @@ void LuFactor::FactorWork::reset(int m) {
     colCount.assign(m, 0);
     rowDone.assign(m, 0);
     colDone.assign(m, 0);
+    tiny.assign(m, 0);
     pivRow.assign(m, -1);
     pivSlot.assign(m, -1);
     pivVal.assign(m, 0.0);
     acc.assign(m, 0.0);
     mark.assign(m, 0);
     seenSlot.assign(m, 0);
+    idxOfRow.assign(m, -1);
     pattern.clear();
     cand.clear();
     singles.clear();
+    active.resize(m);
+    for (int s = 0; s < m; ++s) active[s] = s;
     idOfSlot.assign(m, -1);
+    touched = 0;
 }
 
 void LuFactor::loadSlack(int m, double diag) {
@@ -145,9 +150,14 @@ bool LuFactor::factorize(const std::vector<int>& basic,
     clear(m);
     rowOfSlot.assign(m, -1);
 
-    // Active-matrix working copy, column-wise, plus a row -> columns map.
-    // rowCols may hold stale slots (entries dropped below kLuDropTol keep
-    // their rowCols record); consumers re-verify by scanning the column.
+    // Active-matrix working copy, column-wise, plus a row -> (column, entry
+    // index) map whose records the entries point back to. A pivot row
+    // leaves the columns lazily: its entries stay until the column's next
+    // rank-1 update, and every reader skips entries of done rows. The
+    // other entries of a column, in storage order, are the column of the
+    // active matrix. rowCols may hold stale records (an entry dropped below
+    // kLuDropTol keeps its record, and a later fill-in of the same row adds
+    // a second one); consumers verify the row of the entry they reach.
     work_.reset(m);
     auto& col = work_.col;
     auto& rowCols = work_.rowCols;
@@ -155,6 +165,9 @@ bool LuFactor::factorize(const std::vector<int>& basic,
     auto& colCount = work_.colCount;
     auto& rowDone = work_.rowDone;
     auto& colDone = work_.colDone;
+    auto& tiny = work_.tiny;
+    long& touched = work_.touched;
+    auto live = [&](const ColEnt& e) { return !rowDone[e.row]; };
     // Singleton-column stack: a column with exactly one active entry is a
     // zero-fill pivot with a trivially satisfied stability test. Basis
     // matrices here are near-triangular (slacks + sparse cut columns), so
@@ -166,9 +179,11 @@ bool LuFactor::factorize(const std::vector<int>& basic,
         const int j = basic[s];
         for (int p = cscPtr[j]; p < cscPtr[j + 1]; ++p) {
             const int r = cscRow[p];
-            col[s].push_back({r, cscVal[p]});
-            rowCols[r].push_back(s);
+            col[s].push_back({r, static_cast<int>(rowCols[r].size()),
+                              cscVal[p]});
+            rowCols[r].push_back({s, static_cast<int>(col[s].size()) - 1});
             ++rowCount[r];
+            if (!(std::fabs(cscVal[p]) > kLuDropTol)) tiny[s] = 1;
         }
         colCount[s] = static_cast<int>(col[s].size());
         if (colCount[s] == 1) singles.push_back(s);
@@ -182,9 +197,76 @@ bool LuFactor::factorize(const std::vector<int>& basic,
 
     auto& acc = work_.acc;
     auto& mark = work_.mark;
+    auto& idxOfRow = work_.idxOfRow;
     auto& pattern = work_.pattern;
     auto& seenSlot = work_.seenSlot;
     auto& cand = work_.cand;
+    auto& active = work_.active;
+
+    // Rank-1 update of column c2 by the L column [lb, le) scaled by u. The
+    // column is rebuilt in place: its other entries in their order, then
+    // fill-in in L order, dropping entries of done rows and values at or
+    // below kLuDropTol; each moved entry's rowCols record follows it.
+    auto updateColumn = [&](int c2, double u, std::size_t lb, std::size_t le) {
+        auto& cv = col[c2];
+        touched += static_cast<long>(cv.size());
+        pattern.clear();
+        for (const auto& e : cv) {
+            if (rowDone[e.row]) continue;
+            acc[e.row] = e.val;
+            mark[e.row] = 2;  // pre-existing entry
+            idxOfRow[e.row] = e.ref;
+            pattern.push_back(e.row);
+        }
+        for (std::size_t q = lb; q < le; ++q) {
+            const int r2 = lRow_[q];
+            acc[r2] -= lVal_[q] * u;
+            if (!mark[r2]) {
+                mark[r2] = 1;  // fill-in
+                pattern.push_back(r2);
+            }
+        }
+        cv.clear();
+        for (int r2 : pattern) {
+            const bool keep = std::fabs(acc[r2]) > kLuDropTol;
+            if (keep) {
+                const int at = static_cast<int>(cv.size());
+                if (mark[r2] == 2) {
+                    rowCols[r2][idxOfRow[r2]].idx = at;
+                    cv.push_back({r2, idxOfRow[r2], acc[r2]});
+                } else {
+                    cv.push_back({r2, static_cast<int>(rowCols[r2].size()),
+                                  acc[r2]});
+                    rowCols[r2].push_back({c2, at});
+                    ++rowCount[r2];
+                }
+            } else if (mark[r2] == 2) {
+                --rowCount[r2];
+            }
+            acc[r2] = 0.0;
+            mark[r2] = 0;
+        }
+        touched += static_cast<long>(pattern.size());
+        tiny[c2] = 0;
+        colCount[c2] = static_cast<int>(cv.size());
+    };
+
+    // Drop the entries of done rows from column c, keeping the order of
+    // the rest; each moved entry's rowCols record follows it.
+    auto compactColumn = [&](int c) {
+        auto& cv = col[c];
+        touched += static_cast<long>(cv.size());
+        std::size_t w = 0;
+        for (std::size_t i = 0; i < cv.size(); ++i) {
+            if (rowDone[cv[i].row]) continue;
+            if (w != i) {
+                cv[w] = cv[i];
+                rowCols[cv[w].row][cv[w].ref].idx = static_cast<int>(w);
+            }
+            ++w;
+        }
+        cv.resize(w);
+    };
 
     bool ok = true;
     int t = 0;
@@ -197,20 +279,25 @@ bool LuFactor::factorize(const std::vector<int>& basic,
             const int s = singles.back();
             singles.pop_back();
             if (colDone[s] || colCount[s] != 1) continue;
-            const auto& e = col[s].front();
-            if (std::fabs(e.second) <= kLuPivotTol) continue;
+            const auto* e = col[s].data();
+            while (!live(*e)) ++e;
+            touched += e - col[s].data() + 1;
+            if (std::fabs(e->val) <= kLuPivotTol) continue;
             bestSlot = s;
-            bestRow = e.first;
-            bestVal = e.second;
+            bestRow = e->row;
+            bestVal = e->val;
             break;
         }
         if (bestSlot < 0) {
             // Markowitz scan on the irreducible core: sparsest columns
             // first, full scan only if no stable pivot was found among
-            // them.
+            // them. The walk visits active slots in ascending order.
+            active.erase(std::remove_if(active.begin(), active.end(),
+                                        [&](int s) { return colDone[s]; }),
+                         active.end());
             int minCount = std::numeric_limits<int>::max();
-            for (int s = 0; s < m; ++s) {
-                if (!colDone[s] && colCount[s] > 0 && colCount[s] < minCount)
+            for (int s : active) {
+                if (colCount[s] > 0 && colCount[s] < minCount)
                     minCount = colCount[s];
             }
             if (minCount == std::numeric_limits<int>::max()) {
@@ -220,8 +307,8 @@ bool LuFactor::factorize(const std::vector<int>& basic,
             long bestCost = std::numeric_limits<long>::max();
             for (int round = 0; round < 2 && bestSlot < 0; ++round) {
                 cand.clear();
-                for (int s = 0; s < m; ++s) {
-                    if (colDone[s] || colCount[s] == 0) continue;
+                for (int s : active) {
+                    if (colCount[s] == 0) continue;
                     if (round == 0) {
                         if (colCount[s] <= minCount + kCountSlack) {
                             cand.push_back(s);
@@ -234,23 +321,25 @@ bool LuFactor::factorize(const std::vector<int>& basic,
                     }
                 }
                 for (int s : cand) {
+                    compactColumn(s);
+                    touched += static_cast<long>(col[s].size());
                     double colmax = 0.0;
                     for (const auto& e : col[s])
-                        colmax = std::max(colmax, std::fabs(e.second));
+                        colmax = std::max(colmax, std::fabs(e.val));
                     if (colmax <= kLuPivotTol) continue;
                     const double cutoff = kLuMarkowitzTau * colmax;
                     for (const auto& e : col[s]) {
-                        const double a = std::fabs(e.second);
+                        const double a = std::fabs(e.val);
                         if (a < cutoff || a <= kLuPivotTol) continue;
                         const long cost =
-                            static_cast<long>(rowCount[e.first] - 1) *
+                            static_cast<long>(rowCount[e.row] - 1) *
                             static_cast<long>(colCount[s] - 1);
                         if (cost < bestCost ||
                             (cost == bestCost && a > std::fabs(bestVal))) {
                             bestCost = cost;
                             bestSlot = s;
-                            bestRow = e.first;
-                            bestVal = e.second;
+                            bestRow = e.row;
+                            bestVal = e.val;
                         }
                     }
                 }
@@ -270,69 +359,56 @@ bool LuFactor::factorize(const std::vector<int>& basic,
         rowDone[r] = 1;
         colDone[s] = 1;
 
-        // U row t: remaining entries of pivot row r across active columns.
-        for (int c2 : rowCols[r]) {
+        // U row t: remaining entries of pivot row r across active columns,
+        // read through the row's records. Only a stale first record (its
+        // entry dropped, the row filled in again later) needs a scan.
+        for (const auto& ref : rowCols[r]) {
+            const int c2 = ref.slot;
             if (colDone[c2] || seenSlot[c2]) continue;
             seenSlot[c2] = 1;
-            for (const auto& e : col[c2]) {
-                if (e.first == r) {
-                    urow[t].push_back({c2, e.second});
+            const auto& cv = col[c2];
+            ++touched;
+            if (ref.idx < static_cast<int>(cv.size()) && cv[ref.idx].row == r) {
+                urow[t].push_back({c2, cv[ref.idx].val});
+                continue;
+            }
+            touched += static_cast<long>(cv.size());
+            for (const auto& e : cv) {
+                if (e.row == r) {
+                    urow[t].push_back({c2, e.val});
                     break;
                 }
             }
         }
         for (const auto& ue : urow[t]) seenSlot[ue.first] = 0;
-        for (int c2 : rowCols[r]) seenSlot[c2] = 0;
+        for (const auto& ref : rowCols[r]) seenSlot[ref.slot] = 0;
 
         // L column: one elementary op eliminating column s below the pivot.
         appendLOp(r);
+        touched += static_cast<long>(col[s].size());
         for (const auto& e : col[s]) {
-            if (e.first == r) continue;
-            --rowCount[e.first];
-            const double mult = e.second / d;
+            if (!live(e)) continue;
+            --rowCount[e.row];
+            const double mult = e.val / d;
             if (std::fabs(mult) <= kLuDropTol) continue;
-            lRow_.push_back(e.first);
+            lRow_.push_back(e.row);
             lVal_.push_back(mult);
         }
         lStart_.back() = lRow_.size();
         const std::size_t lb = lStart_[lStart_.size() - 2];
         const std::size_t le = lStart_.back();
 
-        // Rank-1 update of every column the pivot row touches.
+        // Rank-1 update of every column the pivot row touches. With an
+        // empty L column nothing numeric changes: row r just leaves each
+        // column, which rowDone already says, so only the count drops. A
+        // column that still holds an initial entry at or below kLuDropTol
+        // is updated in full, which drops that entry as a rebuild would.
         for (const auto& ue : urow[t]) {
             const int c2 = ue.first;
-            const double u = ue.second;
-            pattern.clear();
-            for (const auto& e : col[c2]) {
-                if (e.first == r) continue;  // pivot row leaves the matrix
-                acc[e.first] = e.second;
-                mark[e.first] = 2;  // pre-existing entry
-                pattern.push_back(e.first);
-            }
-            for (std::size_t q = lb; q < le; ++q) {
-                const int r2 = lRow_[q];
-                acc[r2] -= lVal_[q] * u;
-                if (!mark[r2]) {
-                    mark[r2] = 1;  // fill-in
-                    pattern.push_back(r2);
-                }
-            }
-            col[c2].clear();
-            for (int r2 : pattern) {
-                const bool keep = std::fabs(acc[r2]) > kLuDropTol;
-                if (keep) {
-                    col[c2].push_back({r2, acc[r2]});
-                    if (mark[r2] == 1) {
-                        ++rowCount[r2];
-                        rowCols[r2].push_back(c2);
-                    }
-                } else if (mark[r2] == 2) {
-                    --rowCount[r2];
-                }
-                acc[r2] = 0.0;
-                mark[r2] = 0;
-            }
-            colCount[c2] = static_cast<int>(col[c2].size());
+            if (lb == le && !tiny[c2])
+                --colCount[c2];
+            else
+                updateColumn(c2, ue.second, lb, le);
             if (colCount[c2] == 1) singles.push_back(c2);
         }
     }

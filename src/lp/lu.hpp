@@ -128,8 +128,13 @@ public:
     }
     /// Forrest–Tomlin updates absorbed since the last factorization.
     int updates() const { return updates_; }
+    /// Active-matrix column entries the last factorize() read or wrote: a
+    /// work counter for benches.
+    long factorTouched() const { return work_.touched; }
 
 private:
+    friend struct LuFactorPeek;  ///< read-only access for the pin test
+
     /// U entry: the stable pivot id keys the nonzero graph the reach DFS
     /// walks (posOf_ comparisons), and the entry's pivot row is denormalized
     /// alongside so the dense substitution loops index the solution vector
@@ -233,17 +238,32 @@ private:
     // refactorize every few dozen pivots, and reallocating ~6 vectors of
     // vectors per call dominated the factorization cost before this cache
     // (inner vectors keep their capacity; only sizes are reset per call).
+    struct ColEnt {
+        int row;
+        int ref;  ///< index of this entry's record in rowCols[row]
+        double val;
+    };
+    struct ColRef {
+        int slot;  ///< column (basis slot)
+        int idx;   ///< index of the row's entry in col[slot]
+    };
     struct FactorWork {
-        std::vector<std::vector<std::pair<int, double>>> col;
-        std::vector<std::vector<int>> rowCols;
+        std::vector<std::vector<ColEnt>> col;
+        std::vector<std::vector<ColRef>> rowCols;
         std::vector<std::vector<std::pair<int, double>>> urow;  // (slot, val)
         std::vector<int> rowCount, colCount;
         std::vector<char> rowDone, colDone;
+        /// Column still holds an initial entry at or below kLuDropTol.
+        std::vector<char> tiny;
         std::vector<int> pivRow, pivSlot;
         std::vector<double> pivVal;
         std::vector<double> acc;
         std::vector<char> mark, seenSlot;
-        std::vector<int> pattern, cand, singles, idOfSlot;
+        std::vector<int> idxOfRow, pattern, cand, singles, idOfSlot;
+        /// Slots not yet pivoted, ascending (done ones removed lazily).
+        std::vector<int> active;
+        /// Column entries read or written by the last factorize().
+        long touched = 0;
         void reset(int m);
     };
     FactorWork work_;

@@ -189,14 +189,25 @@ std::optional<MisdpProblem> readSdpa(std::istream& is) {
     }
     // Diagonal entries accumulate into rows: sum coef*y >= rhs.
     std::map<std::pair<int, int>, lp::Row> diagRows;  // (block, i) -> row
-    // Entry lines until *INTEGER or EOF.
+    // Entry lines, then the *INTEGER section. A '*' line before *INTEGER
+    // is a comment; after it, every '*' line must name a variable in 1..m,
+    // or an integrality restriction would be lost silently.
     std::vector<int> integer;
+    bool inInteger = false;
     while (std::getline(is, line)) {
         if (blankLine(line)) continue;
         if (line[0] == '*') {
             std::istringstream ls(line.substr(1));
+            if (!inInteger) {
+                std::string word;
+                inInteger = ls >> word && word == "INTEGER";
+                continue;
+            }
             int v;
-            if (ls >> v && v >= 1 && v <= m) integer.push_back(v - 1);
+            std::string rest;
+            if (!(ls >> v) || v < 1 || v > m || ls >> rest)
+                return std::nullopt;
+            integer.push_back(v - 1);
             continue;
         }
         for (char& c : line)

@@ -70,6 +70,13 @@ struct Block {
     // dim > 1
     std::vector<Term> terms;
     Matrix C, X, Z, Zinv, dX, dZ;
+    /// The union of the terms' positions, by row: row i's columns are
+    /// uCol[uRowStart[i] .. uRowStart[i+1]), ascending. Only these entries
+    /// of X A_j Z^{-1} and mu Z^{-1} - X are ever read.
+    std::vector<int> uRowStart, uCol;
+    /// Workspace: L holds the Cholesky factor of Z, then each step-length
+    /// trial; Lt is L transposed; XdZ and corr are X dZ and X dZ Z^{-1}.
+    Matrix L, Lt, XdZ, corr;
 
     bool scalar() const { return dim == 1; }
     /// The penalty radius for user blocks and the penalty block.
@@ -120,41 +127,78 @@ void formZ(Block& blk, const std::vector<double>& y) {
     }
 }
 
-/// u = (X A) Z^{-1} for a block with dim > 1, through scratch t = X A.
-/// X A runs over A's nonzeros and the product with Z^{-1} over A's nonzero
-/// columns; each entry adds its products in the dense operator*'s order.
-void xaz(const Block& blk, const Term& a, std::vector<double>& t,
+/// The union of `blk`'s term positions, grouped by row.
+void markUsedPositions(Block& blk) {
+    const int n = blk.dim;
+    std::vector<char> used(static_cast<std::size_t>(n) * n, 0);
+    for (const Term& t : blk.terms)
+        for (int p : t.pos) used[p] = 1;
+    blk.uRowStart.assign(1, 0);
+    for (int i = 0; i < n; ++i) {
+        for (int c = 0; c < n; ++c)
+            if (used[i * n + c]) blk.uCol.push_back(c);
+        blk.uRowStart.push_back(static_cast<int>(blk.uCol.size()));
+    }
+}
+
+/// u = (X A) Z^{-1} at the block's used positions, through scratch
+/// tt = (X A)^T. X A runs over A's nonzeros and the product with Z^{-1}
+/// over A's nonzero columns, which are the only rows of tt that are zeroed
+/// or read; each entry adds its products in the dense operator*'s order.
+/// Column k of X is read as row k, which is the same numbers: X is exactly
+/// symmetric (the identity, plus symmetrized steps).
+void xaz(const Block& blk, const Term& a, std::vector<double>& tt,
          std::vector<double>& u) {
     const std::size_t n = static_cast<std::size_t>(blk.dim);
     const double* x = blk.X.data().data();
     const double* zinv = blk.Zinv.data().data();
-    t.assign(n * n, 0.0);
+    tt.resize(n * n);
+    for (int c : a.cols) std::fill_n(tt.data() + c * n, n, 0.0);
     for (std::size_t e = 0; e < a.pos.size(); ++e) {
         const std::size_t k = a.pos[e] / n;
         const std::size_t c = a.pos[e] % n;
         const double v = a.val[e];
-        for (std::size_t i = 0; i < n; ++i) t[i * n + c] += x[i * n + k] * v;
+        const double* xk = x + k * n;
+        double* tc = tt.data() + c * n;
+        for (std::size_t i = 0; i < n; ++i) tc[i] += xk[i] * v;
     }
-    u.assign(n * n, 0.0);
-    for (std::size_t i = 0; i < n; ++i)
+    u.resize(n * n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const int* cb = blk.uCol.data() + blk.uRowStart[i];
+        const int* ce = blk.uCol.data() + blk.uRowStart[i + 1];
+        double* ui = u.data() + i * n;
+        const bool fullRow = static_cast<std::size_t>(ce - cb) == n;
+        if (fullRow)
+            std::fill_n(ui, n, 0.0);
+        else
+            for (const int* c = cb; c != ce; ++c) ui[*c] = 0.0;
         for (int k : a.cols) {
-            const double tik = t[i * n + k];
+            const double tik = tt[k * n + i];
             if (tik == 0.0) continue;
             const double* zk = zinv + k * n;
-            double* ui = u.data() + i * n;
-            for (std::size_t c = 0; c < n; ++c) ui[c] += tik * zk[c];
+            if (fullRow)
+                for (std::size_t c = 0; c < n; ++c) ui[c] += tik * zk[c];
+            else
+                for (const int* c = cb; c != ce; ++c) ui[*c] += tik * zk[*c];
         }
+    }
 }
 
 /// Largest step alpha in (0, 1] keeping m + alpha*d positive definite,
-/// found by backtracking Cholesky tests; `trial` is scratch space.
+/// found by backtracking Cholesky tests on the lower triangle, which is
+/// all the factorization reads; `trial` is scratch space.
 double maxPsdStep(const Matrix& m, const Matrix& d, Matrix& trial) {
-    if (trial.rows() != m.rows()) trial = Matrix(m.rows(), m.cols());
+    const std::size_t n = m.rows();
+    if (trial.rows() != n) trial.assign(n, n);
     double alpha = 1.0;
     for (int iter = 0; iter < 80; ++iter) {
-        for (std::size_t e = 0; e < trial.data().size(); ++e)
-            trial.data()[e] = d.data()[e] * alpha + m.data()[e];
-        if (Cholesky::factor(trial, 1e-14).has_value()) return alpha;
+        for (std::size_t i = 0; i < n; ++i) {
+            const double* di = d.rowPtr(i);
+            const double* mi = m.rowPtr(i);
+            double* ti = trial.rowPtr(i);
+            for (std::size_t j = 0; j <= i; ++j) ti[j] = di[j] * alpha + mi[j];
+        }
+        if (Cholesky::factorInPlace(trial, 1e-14)) return alpha;
         alpha *= 0.8;
     }
     return 0.0;
@@ -243,6 +287,7 @@ SdpResult solveSdp(const SdpProblem& prob, const IpmOptions& opts) {
             negI *= -1.0;
             blk.terms.push_back(sparseTerm(mf, negI));
             blk.X = Matrix::identity(ub.dim);
+            markUsedPositions(blk);
         }
         blocks.push_back(std::move(blk));
     }
@@ -305,8 +350,8 @@ SdpResult solveSdp(const SdpProblem& prob, const IpmOptions& opts) {
     };
 
     // Workspace for the whole solve.
-    Matrix M(mi, mi), trial, G;
-    std::vector<double> rhs(mi), t;
+    Matrix M(mi, mi), Mf;
+    std::vector<double> rhs(mi), dy(mi), tt, g, col;
     std::vector<std::vector<double>> u(maxTerms);
     std::vector<double> su(maxTerms);
 
@@ -327,12 +372,12 @@ SdpResult solveSdp(const SdpProblem& prob, const IpmOptions& opts) {
                 blk.zinv = (1.0 / l) / l;
                 continue;
             }
-            auto chol = Cholesky::factor(blk.Z, 1e-300);
-            if (!chol) {
+            blk.L = blk.Z;
+            if (!Cholesky::factorInPlace(blk.L, 1e-300)) {
                 zOk = false;
                 break;
             }
-            blk.Zinv = chol->solve(Matrix::identity(blk.dim));
+            Cholesky::inverseInto(blk.L, blk.Zinv, blk.Lt, col);
             blk.Zinv.symmetrize();
         }
         if (!zOk) break;  // lost dual interiority: numerical failure
@@ -380,10 +425,17 @@ SdpResult solveSdp(const SdpProblem& prob, const IpmOptions& opts) {
                 continue;
             }
             for (std::size_t jj = 0; jj < blk.terms.size(); ++jj)
-                xaz(blk, blk.terms[jj], t, u[jj]);
-            G = blk.Zinv;
-            G *= muTarget;
-            G -= blk.X;
+                xaz(blk, blk.terms[jj], tt, u[jj]);
+            // g = mu Z^{-1} - X at the used positions.
+            const std::size_t n = static_cast<std::size_t>(blk.dim);
+            const double* zinv = blk.Zinv.data().data();
+            const double* x = blk.X.data().data();
+            g.resize(n * n);
+            for (std::size_t i = 0; i < n; ++i)
+                for (int q = blk.uRowStart[i]; q < blk.uRowStart[i + 1]; ++q) {
+                    const std::size_t e = i * n + blk.uCol[q];
+                    g[e] = zinv[e] * muTarget - x[e];
+                }
             for (std::size_t ii = 0; ii < blk.terms.size(); ++ii) {
                 const Term& ti = blk.terms[ii];
                 for (std::size_t jj = ii; jj < blk.terms.size(); ++jj) {
@@ -392,16 +444,17 @@ SdpResult solveSdp(const SdpProblem& prob, const IpmOptions& opts) {
                          0.5 * (termDot(ti, u[jj].data()) +
                                 termDot(tj, u[ii].data())));
                 }
-                rhs[ti.var] -= termDot(ti, G.data().data());
+                rhs[ti.var] -= termDot(ti, g.data());
             }
         }
         for (int j = 0; j < mi; ++j) {
             rhs[j] += rp[j];
             M(j, j) += 1e-12;  // tiny regularization
         }
-        std::vector<double> dy;
-        if (auto chol = Cholesky::factor(M, 1e-300)) {
-            dy = chol->solve(rhs);
+        Mf = M;
+        if (Cholesky::factorInPlace(Mf, 1e-300)) {
+            dy = rhs;
+            Cholesky::solveInPlace(Mf, dy);
         } else if (auto lu = linalg::luSolve(M, rhs)) {
             dy = *lu;
         } else {
@@ -434,15 +487,18 @@ SdpResult solveSdp(const SdpProblem& prob, const IpmOptions& opts) {
                     dz[t.pos[e]] -= t.val[e] * dyj;
             }
             // dX = mu Z^{-1} - X - X dZ Z^{-1}, symmetrized.
-            Matrix d = blk.Zinv;
-            d *= muTarget;
-            d -= blk.X;
-            Matrix corr = (blk.X * blk.dZ) * blk.Zinv;
-            d -= corr;
-            d.symmetrize();
-            blk.dX = std::move(d);
-            alphaP = std::min(alphaP, maxPsdStep(blk.X, blk.dX, trial));
-            alphaD = std::min(alphaD, maxPsdStep(blk.Z, blk.dZ, trial));
+            linalg::multiplyInto(blk.X, blk.dZ, blk.XdZ);
+            linalg::multiplyInto(blk.XdZ, blk.Zinv, blk.corr);
+            if (blk.dX.empty()) blk.dX = Matrix(blk.dim, blk.dim);
+            const std::vector<double>& zinv = blk.Zinv.data();
+            const std::vector<double>& x = blk.X.data();
+            const std::vector<double>& corr = blk.corr.data();
+            std::vector<double>& dx = blk.dX.data();
+            for (std::size_t e = 0; e < dx.size(); ++e)
+                dx[e] = zinv[e] * muTarget - x[e] - corr[e];
+            blk.dX.symmetrize();
+            alphaP = std::min(alphaP, maxPsdStep(blk.X, blk.dX, blk.L));
+            alphaD = std::min(alphaD, maxPsdStep(blk.Z, blk.dZ, blk.L));
         }
         alphaP *= 0.98;
         alphaD *= 0.98;
@@ -452,9 +508,9 @@ SdpResult solveSdp(const SdpProblem& prob, const IpmOptions& opts) {
                 blk.x += blk.dx * alphaP;
                 continue;
             }
-            Matrix step = blk.dX;
-            step *= alphaP;
-            blk.X += step;
+            std::vector<double>& x = blk.X.data();
+            const std::vector<double>& dx = blk.dX.data();
+            for (std::size_t e = 0; e < x.size(); ++e) x[e] += dx[e] * alphaP;
         }
         for (int j = 0; j < mi; ++j) y[j] += alphaD * dy[j];
         lastAlpha = std::min(alphaP, alphaD);

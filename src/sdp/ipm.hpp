@@ -14,14 +14,32 @@
 // summed over nonzeros only, and each Schur entry is computed once for
 // j >= i and mirrored.
 //
+// Dense-block kernels. They allocate nothing per iteration: every buffer
+// lives in its block or in the solve's workspace. Z is factored by
+// linalg::Cholesky::factorInPlace into the block's L, and Z^{-1} is built
+// from L by Cholesky::inverseInto straight into the block's Zinv. Every
+// maxPsdStep trial forms only the lower triangle and is factored in place
+// in the same L. X dZ Z^{-1} runs through linalg::multiplyInto into block
+// buffers, and dX and the X step are formed in place. X A_j Z^{-1} and
+// mu Z^{-1} - X are formed only at the block's used positions (the union
+// of its terms' positions), the only entries the Schur sums read; this is
+// SDPA's sparse Schur evaluation (Fujisawa, Kojima and Nakata, Math.
+// Prog. 1997).
+//
 // Bit-identity contract. The iterates equal those of the dense
 // computation, term for term: blocks run in their original order, each
 // sum adds its terms in the dense loop's order and only drops products
 // with an exact-zero factor, a scalar z^{-1} is (1/l)/l with l = sqrt(z)
 // as Cholesky computes it, and the scalar factor and step tests keep
 // their "<=" forms (z <= 1e-300, d*alpha + m <= 1e-14), so a NaN takes
-// the same branch. The only possible difference is the sign of an exact
-// zero. Sdp.MatchesParentOnMisdpRelaxations pins the results.
+// the same branch. The dense-block kernels keep this too: the in-place
+// Cholesky is the kernel Cholesky::factor wraps, column j of Z^{-1} is
+// what Cholesky::solve gives for e_j (its forward solve skips only the
+// exact zeros above row j), independent sums may run interleaved but each
+// keeps its own term order, and X is read as its own transpose only
+// because it is exactly symmetric. The only possible difference is the
+// sign of an exact zero. Sdp.MatchesParentOnMisdpRelaxations pins the
+// results.
 #pragma once
 
 #include "sdp/problem.hpp"

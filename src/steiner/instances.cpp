@@ -188,8 +188,9 @@ std::optional<Graph> readStp(std::istream& is) {
         if (word == "EOF") break;
         if (section == "Graph") {
             if (word == "Nodes") {
-                ls >> expectNodes;
-                if (expectNodes <= 0) return std::nullopt;
+                if (!(ls >> expectNodes) || expectNodes <= 0 ||
+                    expectNodes > kMaxStpNodes)
+                    return std::nullopt;
                 g.reset(expectNodes);
                 haveGraph = true;
             } else if (word == "E" || word == "A") {
@@ -198,6 +199,7 @@ std::optional<Graph> readStp(std::istream& is) {
                 if (!(ls >> u >> v >> c) || !haveGraph) return std::nullopt;
                 if (u < 1 || v < 1 || u > expectNodes || v > expectNodes)
                     return std::nullopt;
+                if (!std::isfinite(c) || c < 0.0) return std::nullopt;
                 if (u != v) g.addEdge(u - 1, v - 1, c);
             }
         } else if (section == "Terminals") {

@@ -41,7 +41,13 @@ Graph genGeometric(int n, int k, double radius, std::uint64_t seed = 1);
 /// Grid instance: w x h grid with unit costs and k random terminals.
 Graph genGrid(int w, int h, int k, std::uint64_t seed = 1);
 
-/// SteinLib .stp format.
+/// Largest `Nodes` count readStp accepts, checked before the graph is
+/// allocated. 2^20 is well above every SteinLib instance.
+inline constexpr int kMaxStpNodes = 1 << 20;
+
+/// SteinLib .stp format. readStp returns nullopt for a file it cannot read
+/// in full: a node count outside 1..kMaxStpNodes, an edge or terminal that
+/// does not parse or names no node, or a negative or non-finite cost.
 bool writeStp(std::ostream& os, const Graph& g);
 std::optional<Graph> readStp(std::istream& is);
 bool writeStpFile(const std::string& path, const Graph& g);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
 
 #include "linalg/eigen.hpp"
@@ -206,6 +208,25 @@ TEST_P(EigenProperty, ResidualAndOrthonormality) {
     }
 }
 
+// Property: smallestEigenvalue runs symmetricEigen's sweeps without the
+// eigenvectors, so both give the same double, zero signs included. Every
+// fourth matrix is diagonal with a +0/-0 tie.
+TEST_P(EigenProperty, SmallestEigenvalueIsBitwiseFront) {
+    const int n = GetParam();
+    std::mt19937 rng(77 + n);
+    for (int rep = 0; rep < 20; ++rep) {
+        Matrix a = randomSymmetric(n, rng);
+        if (rep % 4 == 0) {
+            a = Matrix(n, n);
+            for (int i = 0; i < n; ++i) a(i, i) = i % 2 ? -0.0 : 0.0;
+        }
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(linalg::smallestEigenvalue(a)),
+                  std::bit_cast<std::uint64_t>(
+                      linalg::symmetricEigen(a).values.front()))
+            << "n=" << n << " rep=" << rep;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, EigenProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21));
 
@@ -226,6 +247,43 @@ TEST_P(CholeskyProperty, SolveResidual) {
         Vector ax = a * x;
         for (int i = 0; i < n; ++i) EXPECT_NEAR(ax[i], b[i], 1e-7);
     }
+}
+
+// Property: the in-place kernels reproduce factor() and solve() bit for
+// bit: factorInPlace writes factor()'s lower triangle and keeps the upper
+// one, and inverseInto's column j is solve(e_j).
+TEST_P(CholeskyProperty, InPlaceKernelsMatchFactorAndSolve) {
+    const int n = GetParam();
+    std::mt19937 rng(5 + n);
+    for (int rep = 0; rep < 5; ++rep) {
+        const Matrix a = randomSpd(n, rng);
+        auto chol = Cholesky::factor(a);
+        ASSERT_TRUE(chol.has_value());
+        Matrix l = a;
+        ASSERT_TRUE(Cholesky::factorInPlace(l));
+        for (int i = 0; i < n; ++i)
+            for (int j = 0; j < n; ++j)
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(l(i, j)),
+                          std::bit_cast<std::uint64_t>(
+                              j <= i ? chol->lower()(i, j) : a(i, j)));
+        Matrix inv, lt;
+        Vector scratch;
+        Cholesky::inverseInto(l, inv, lt, scratch);
+        for (int j = 0; j < n; ++j) {
+            Vector e(n, 0.0);
+            e[j] = 1.0;
+            const Vector x = chol->solve(e);
+            for (int i = 0; i < n; ++i)
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(inv(i, j)),
+                          std::bit_cast<std::uint64_t>(x[i]))
+                    << "n=" << n << " (" << i << "," << j << ")";
+        }
+    }
+}
+
+TEST(Cholesky, FactorInPlaceRejectsIndefinite) {
+    Matrix a{{1.0, 2.0}, {2.0, 1.0}};
+    EXPECT_FALSE(Cholesky::factorInPlace(a));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CholeskyProperty,

@@ -341,6 +341,20 @@ TEST(MisdpIo, RejectsNonFiniteValues) {
     }
 }
 
+TEST(MisdpIo, RejectsBadIntegerMarker) {
+    std::string base = kSmallSdpa;
+    base.erase(base.find("*INTEGER"));
+    // The three markers together, then each bad one alone.
+    EXPECT_FALSE(readText(base + "*INTEGER\n*7\n*x\n*1\n").has_value());
+    for (const char* bad : {"*7", "*x", "*0", "*-1", "*1x", "*"})
+        EXPECT_FALSE(readText(base + "*INTEGER\n*1\n" + bad + "\n").has_value())
+            << bad;
+    // Before *INTEGER a '*' line is a comment, even when it reads as one.
+    auto p = readText(base + "* comment\n*2\n*INTEGER\n*1\n");
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(p->isInt, (std::vector<bool>{true, false}));
+}
+
 TEST(MisdpIo, FileRoundtrip) {
     MisdpProblem p = misdp::genCardinalityLS(3, 4, 2, 8);
     const std::string path = "/tmp/ugcop_misdp_io_test.dat-s";

@@ -215,9 +215,11 @@ TEST_P(SdpRandom, MatchesGridOracle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SdpRandom, ::testing::Values(1, 2, 3, 4, 5, 6));
 
 // ---------------------------------------------------------------------------
-// Exact-output pins. The interior point skips zero entries and keeps 1x1
-// blocks as scalars; the values below were recorded from the dense
-// implementation, and the sparse one must reproduce them bit for bit.
+// Exact-output pins. The interior point skips zero entries, keeps 1x1
+// blocks as scalars and runs allocation-free dense-block kernels; the
+// values below were recorded from earlier implementations (the dense IPM;
+// ttd3x3 from the sparse IPM with allocating kernels), and the current one
+// must reproduce them bit for bit.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -445,11 +447,38 @@ TEST(Sdp, MatchesParentOnMisdpRelaxations) {
           0x1.05537897436bap-19, 0x1.5fb86dad359acp-22, 0x1.0554076d072ecp-19,
           0x1.0553c9816167ap-19, 0x1.5fb86b67cc96p-22, 0x1p+0,
           0x1.849a6e0031b6cp-21, 0x1.849a6b061e31cp-21}},
+        {"ttd3x3/0", SdpStatus::Optimal, 22, -0x1.d002f11b9144bp+2,
+         {0x1.fa5bacc9ad04cp-2, 0x1.ffffffd723e87p-1, 0x1.660c916bbe80ap-2,
+          0x1.2e4aaf0655e8cp-28, 0x1.660c293bba64ap-2, 0x1.144007f1120ap-25,
+          0x1.f305f08899febp-1, 0x1.b7533f1ee4688p-27, 0x1.d14c00c4c5aa4p-27,
+          0x1.660c897d20e4ap-2, 0x1.b75414e2ed56p-27, 0x1.0d0b4c94e978ap-26,
+          0x1.2e4ad467be92p-28, 0x1.ffffffd724b1ep-1, 0x1.660c701fc7c9fp-2,
+          0x1.ebaef91bd61e8p-2, 0x1.d14fa61da27e8p-27, 0x1.fa5bb08bc16bdp-2}},
+        {"ttd3x3/1", SdpStatus::Optimal, 21, -0x1.18d557ab7b79dp+3,
+         {0x1.d5512d6a5d5bep-2, 0x1.ffffd270fe943p-1, 0x1.71d02e219ee1p-25,
+          0x0p+0, 0x1.c345026b98decp-24, 0x1p+0, 0x1.7d0c785927494p-2,
+          0x1.8ab201dce9c44p-24, 0x1.d55127b4d228ap-2, 0x0p+0, 0x0p+0, 0x1p+0,
+          0x1.eb990d61eb474p-24, 0x1.ffffd2739cb3cp-1, 0x1.c3476fbbeb558p-24,
+          0x1.7d0df52b737dbp-2, 0x1.d55121dd87692p-2, 0x1p+0}},
+        {"ttd3x3/2", SdpStatus::Optimal, 27, -0x1.8a270adf0d57ep+3,
+         {0x0p+0, 0x1.ffffffee61a22p-1, 0x1.e2b21f31199bap-2, 0x0p+0,
+          0x1.ffff98c48e28cp-1, 0x1.a640cb64f80aap-3, 0x1.ffffffd3ef41p-1,
+          0x1.5551448c83476p-1, 0x0p+0, 0x1.e2b21fea65f2ep-2,
+          0x1.5c0b579695b54p-26, 0x1p+0, 0x1.800e974406417p-2,
+          0x1.ffffffd4587a6p-1, 0x1.ffff98b857334p-1, 0x1.28c9d38a08deap-1,
+          0x1.0725e174af5bap-25, 0x1.fffff9f443dcep-1}},
+        {"ttd3x3/3", SdpStatus::Infeasible, 27, -0x1.e0c87872e3ab9p+10,
+         {0x1.ffffffffe565fp-1, 0x0p+0, 0x1p+0, 0x1.fffff1dfc9625p-1, 0x0p+0,
+          0x0p+0, 0x0p+0, 0x1.ffffffff46bep-1, 0x1.fffffff4a2979p-1,
+          0x1.ffffffff9377ap-1, 0x1.a423363714d45p-1, 0x1.fffffffd72d96p-1,
+          0x1p+0, 0x1p+0, 0x1.fffffffae2eaep-1, 0x1.ffffffce347d8p-1,
+          0x1.fffffffd982d8p-1, 0x1.ffffffffc7581p-1}},
     };
     const std::vector<std::pair<std::string, misdp::MisdpProblem>> gens = {
         {"ttd4x2", misdp::genTrussTopology(4, 2, 1.8, 1)},
         {"cls8-12-3", misdp::genCardinalityLS(8, 12, 3, 2)},
-        {"mkp9-3", misdp::genMinKPartition(9, 3, 2)}};
+        {"mkp9-3", misdp::genMinKPartition(9, 3, 2)},
+        {"ttd3x3", misdp::genTrussTopology(3, 3, 1.8, 1)}};
     std::size_t k = 0;
     for (const auto& [name, p] : gens)
         for (unsigned seed = 0; seed <= 3; ++seed, ++k) {

@@ -230,6 +230,48 @@ TEST(SteinerInstances, StpRoundtrip) {
     EXPECT_NEAR(*opt1, *opt2, 1e-9);
 }
 
+namespace {
+
+/// A two-node .stp text with the given Nodes line value and edge cost.
+std::string twoNodeStp(const std::string& nodes, const std::string& cost) {
+    return "SECTION Graph\nNodes " + nodes + "\nEdges 1\nE 1 2 " + cost +
+           "\nEND\nSECTION Terminals\nTerminals 2\nT 1\nT 2\nEND\nEOF\n";
+}
+
+std::optional<Graph> readStpText(const std::string& text) {
+    std::istringstream in(text);
+    return readStp(in);
+}
+
+}  // namespace
+
+TEST(SteinerInstances, ReadsTwoNodeStp) {
+    auto g = readStpText(twoNodeStp("2", "3.5"));
+    ASSERT_TRUE(g.has_value());
+    EXPECT_EQ(g->numVertices(), 2);
+    EXPECT_EQ(g->numTerminals(), 2);
+    EXPECT_TRUE(readStpText(twoNodeStp("2", "0")).has_value());
+}
+
+TEST(SteinerInstances, RejectsHugeNodeCount) {
+    // Rejected before the graph is allocated (it would need gigabytes).
+    EXPECT_FALSE(readStpText(twoNodeStp("400000000", "1")).has_value());
+    EXPECT_FALSE(
+        readStpText(twoNodeStp(std::to_string(kMaxStpNodes + 1), "1"))
+            .has_value());
+    EXPECT_FALSE(readStpText(twoNodeStp("x", "1")).has_value());
+}
+
+TEST(SteinerInstances, RejectsNegativeEdgeCost) {
+    EXPECT_FALSE(readStpText(twoNodeStp("2", "-1")).has_value());
+    EXPECT_FALSE(readStpText(twoNodeStp("2", "-1e-9")).has_value());
+}
+
+TEST(SteinerInstances, RejectsNonFiniteEdgeCost) {
+    for (const char* bad : {"inf", "-inf", "nan", "1e999"})
+        EXPECT_FALSE(readStpText(twoNodeStp("2", bad)).has_value()) << bad;
+}
+
 TEST(SteinerInstances, RejectsCorruptStp) {
     std::istringstream bad("SECTION Graph\nE 1 2 3\nEND\nEOF\n");
     EXPECT_FALSE(readStp(bad).has_value());
